@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar, nnls
 
 from .channels import (
     QuantumChannel,
+    _angles_to_unit,
     _fibonacci_directions,
     affine_representation,
     complementary,
@@ -35,6 +35,11 @@ from .errors import InvalidChannel, InvalidParameter, Unsupported
 from .qmath import DensityMatrix, Ensemble, from_bloch
 
 _DIM_LIMIT = 8
+_TINY = 1e-300
+_LN2 = math.log(2.0)
+# Largest Bloch radius the entropy slope -atanh(r)/ln 2 is evaluated at, so
+# that pure outputs (amplitude damping at r = 1) keep a finite gradient.
+_SLOPE_RADIUS = 1.0 - 1e-15
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,12 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass(frozen=True)
 class OptimizerStats:
+    """Work a solve did; evaluations sums res.nfev over every minimize call."""
+
     iterations: int
     restarts: int
     achieved_tolerance: float
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,9 @@ def _softmax(w: np.ndarray) -> np.ndarray:
 def _one_minus_entropy(radii: np.ndarray) -> np.ndarray:
     """1 - S(rho) for qubit states of the given Bloch radii (vectorized)."""
     r = np.minimum(np.asarray(radii, dtype=float), 1.0)
-    return 0.5 * (_plog2(1.0 + r) + _plog2(1.0 - r))
+    hi, lo = 1.0 + r, 1.0 - r
+    # lo * log2(lo) -> 0 as lo -> 0; the floor only keeps log2 finite
+    return 0.5 * (hi * np.log2(hi) + lo * np.log2(np.maximum(lo, _TINY)))
 
 
 def _entropy_of_radius(radii):
@@ -116,17 +126,23 @@ class _MultiStart:
         self.best_x = None
         self.runner_up = math.inf
         self.iterations = 0
+        self.evaluations = 0
         self.started = 0
         self._since_improve = 0
 
-    def run(self, objective: Callable, starts, method="L-BFGS-B", options=None):
+    def run(self, objective: Callable, starts, method="L-BFGS-B", options=None, jac=None):
+        from scipy.optimize import minimize
+
         options = options or {}
         for x0 in starts:
             if self.started >= self.cfg.restarts:
                 break
-            res = minimize(objective, np.asarray(x0, dtype=float), method=method, options=options)
+            res = minimize(
+                objective, np.asarray(x0, dtype=float), method=method, jac=jac, options=options
+            )
             self.started += 1
             self.iterations += int(res.nit)
+            self.evaluations += int(res.nfev)
             val = float(res.fun)
             if val < self.best_val - 1e-15:
                 self.runner_up = self.best_val
@@ -145,7 +161,7 @@ class _MultiStart:
             spread = abs(self.runner_up - self.best_val)
         else:
             spread = self.cfg.tolerance
-        return OptimizerStats(self.iterations, self.started, spread)
+        return OptimizerStats(self.iterations, self.started, spread, self.evaluations)
 
 
 def _axis_ensemble_starts(m: int, rng: np.random.Generator, total: int):
@@ -180,30 +196,53 @@ def _unpack_bloch_ensemble(t: np.ndarray, m: int):
     norms = np.maximum(np.linalg.norm(xs, axis=1), 1e-12)
     us = xs / norms[:, None]
     w = _softmax(t[3 * m :])
-    return us, w
+    return us, w, norms
+
+
+def _qubit_neg_chi(a: np.ndarray, b: np.ndarray, m: int) -> Callable:
+    """-chi of an m-member ensemble of pure qubit inputs, with its gradient.
+
+    The objective takes t = (x_1..x_m, logits): input Bloch directions
+    u_k = x_k / |x_k| and softmax weights w. For the channel r -> A r + b,
+    -chi = sum_k w_k S(r_k) - S(R) with r_k = |A u_k + b| and R the radius
+    of the weighted mean output. The gradient uses dS/dr = -atanh(r)/ln 2.
+    """
+    a_t = a.T
+
+    def neg_chi(t):
+        us, w, norms = _unpack_bloch_ensemble(t, m)
+        outs = us @ a_t + b
+        avg = w @ outs
+        rads = np.sqrt(np.concatenate(((outs * outs).sum(axis=1), [avg @ avg])))
+        ent = _entropy_of_radius(rads)
+        value = float(w @ ent[:m] - ent[m])
+        # (dS/dr) / r per output; outputs at r = 0 are the zero vector,
+        # so any finite factor gives them a zero gradient
+        slope = -np.arctanh(np.minimum(rads, _SLOPE_RADIUS)) / (_LN2 * np.maximum(rads, _TINY))
+        d_outs = w[:, None] * (slope[:m, None] * outs - slope[m] * avg)
+        d_us = d_outs @ a
+        d_xs = (d_us - us * (us * d_us).sum(axis=1)[:, None]) / norms[:, None]
+        d_w = ent[:m] - slope[m] * (outs @ avg)
+        return value, np.concatenate((d_xs.reshape(-1), w * (d_w - w @ d_w)))
+
+    return neg_chi
 
 
 def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
-    aff = affine_representation(channel)
-    a_t = aff.A.T
-    b = aff.b
-    m = max(2, int(cfg.max_inputs))
+    from scipy.optimize import minimize
 
-    def neg_chi(t):
-        us, w = _unpack_bloch_ensemble(t, m)
-        outs = us @ a_t + b
-        rads = np.linalg.norm(outs, axis=1)
-        avg = w @ outs
-        mix = _entropy_of_radius(np.linalg.norm(avg))
-        members = float(w @ _entropy_of_radius(rads))
-        return -(float(mix) - members)
+    aff = affine_representation(channel)
+    m = max(2, int(cfg.max_inputs))
+    neg_chi = _qubit_neg_chi(aff.A, aff.b, m)
 
     rng = np.random.default_rng(cfg.seed)
     opts = {"maxiter": 300, "ftol": 1e-13, "gtol": 1e-9}
-    ms = _MultiStart(cfg).run(neg_chi, _axis_ensemble_starts(m, rng, cfg.restarts), options=opts)
+    ms = _MultiStart(cfg).run(
+        neg_chi, _axis_ensemble_starts(m, rng, cfg.restarts), options=opts, jac=True
+    )
 
     # prune negligible members, then polish once more
-    us, w = _unpack_bloch_ensemble(ms.best_x, m)
+    us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
     keep = w > 1e-4
     if keep.sum() >= 1 and keep.sum() < m:
         us = np.concatenate([us[keep], us[[0] * (m - int(keep.sum()))]])
@@ -211,13 +250,14 @@ def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
         w = w / w.sum()
         logits = np.log(np.maximum(w, 1e-12))
         t0 = np.concatenate([us.reshape(-1), logits])
-        res = minimize(neg_chi, t0, method="L-BFGS-B", options=opts)
+        res = minimize(neg_chi, t0, method="L-BFGS-B", jac=True, options=opts)
+        ms.evaluations += int(res.nfev)
         if float(res.fun) <= ms.best_val:
             ms.best_x = np.asarray(res.x, dtype=float)
             ms.best_val = float(res.fun)
             ms.iterations += int(res.nit)
 
-    us, w = _unpack_bloch_ensemble(ms.best_x, m)
+    us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
     chi = max(-ms.best_val, 0.0)
     keep = w > 1e-4
     w_kept = w[keep] / w[keep].sum()
@@ -321,17 +361,51 @@ def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) 
     )
 
 
-def _divergences(points: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """D(point || sigma) for qubit Bloch points against one interior sigma."""
-    r_s = float(np.linalg.norm(sigma))
-    r_s = min(r_s, 1.0 - 1e-12)
-    rads = np.linalg.norm(points, axis=1)
-    vals = _one_minus_entropy(rads)
-    if r_s > 0.0:
-        half_log_ratio = 0.5 * math.log2((1.0 + r_s) / (1.0 - r_s))
-        vals = vals - 0.5 * math.log2(1.0 - r_s * r_s)
-        vals = vals - (points @ (sigma / r_s)) * half_log_ratio
-    return vals
+def _sigma_terms(sigma: np.ndarray):
+    """(unit direction, log term, half log ratio) of an interior qubit sigma.
+
+    D(p || sigma) = (1 - S(p)) - log_term - (p . direction) * half_log_ratio;
+    all three are zero at the maximally mixed sigma.
+    """
+    r_s = min(math.sqrt(float(sigma @ sigma)), 1.0 - 1e-12)
+    if r_s == 0.0:
+        return np.zeros(3), 0.0, 0.0
+    log_term = 0.5 * math.log2(1.0 - r_s * r_s)
+    half_log_ratio = 0.5 * math.log2((1.0 + r_s) / (1.0 - r_s))
+    return sigma / r_s, log_term, half_log_ratio
+
+
+def _divergences(points: np.ndarray, negentropy: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """D(point || sigma) for qubit Bloch points, given negentropy = 1 - S(point)."""
+    direction, log_term, half_log_ratio = _sigma_terms(sigma)
+    return (negentropy - log_term) - (points @ direction) * half_log_ratio
+
+
+def _xlog2(x: float) -> float:
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def _surface_divergence(aff, sigma: np.ndarray) -> Callable:
+    """-D(A u(theta, phi) + b || sigma) as scalar math over the two angles."""
+    direction, log_term, half_log_ratio = _sigma_terms(sigma)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = aff.A.tolist()
+    b0, b1, b2 = aff.b.tolist()
+    c0, c1, c2 = (aff.A.T @ direction).tolist()
+    c_b = float(aff.b @ direction)
+
+    def neg_div(angles):
+        theta, phi = float(angles[0]), float(angles[1])
+        st = math.sin(theta)
+        u0, u1, u2 = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+        s0 = a00 * u0 + a01 * u1 + a02 * u2 + b0
+        s1 = a10 * u0 + a11 * u1 + a12 * u2 + b1
+        s2 = a20 * u0 + a21 * u1 + a22 * u2 + b2
+        r = min(math.sqrt(s0 * s0 + s1 * s1 + s2 * s2), 1.0)
+        negentropy = 0.5 * (_xlog2(1.0 + r) + _xlog2(1.0 - r))
+        along = c0 * u0 + c1 * u1 + c2 * u2 + c_b
+        return -((negentropy - log_term) - along * half_log_ratio)
+
+    return neg_div
 
 
 def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) -> CapacityReport:
@@ -344,6 +418,8 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     hsw_numeric. The optimal sigma is certified as a convex mixture of
     the divergence maximizers with equal divergences.
     """
+    from scipy.optimize import minimize, nnls
+
     cfg = cfg or DEFAULT_CONFIG
     if channel.dim_in != 2 or channel.dim_out != 2:
         raise Unsupported("geometric solver handles qubit channels")
@@ -361,13 +437,16 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
             notes=tuple(notes + ["constant-output channel"]),
         )
 
-    support = points
+    # 1 - S(point) does not depend on sigma: computed once per support point
+    points_negentropy = _one_minus_entropy(np.linalg.norm(points, axis=1))
+    support, negentropy = points, points_negentropy
     iterations = 0
+    evaluations = 0
 
     def outer(sig):
-        if np.linalg.norm(sig) >= 1.0 - 1e-9:
+        if math.sqrt(float(sig @ sig)) >= 1.0 - 1e-9:
             return math.inf
-        return float(_divergences(support, sig).max())
+        return float(_divergences(support, negentropy, sig).max())
 
     sigma = points.mean(axis=0)
     for _ in range(4):
@@ -378,17 +457,14 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 1200},
         )
         iterations += int(res.nit)
+        evaluations += int(res.nfev)
         sigma = np.asarray(res.x, dtype=float)
         # polish the inner maximum over the output ellipsoid surface
-        vals = _divergences(points, sigma)
+        vals = _divergences(points, points_negentropy, sigma)
         order = np.argsort(vals)[::-1]
         new_points = []
         best_polished = float(vals[order[0]])
-
-        def neg_div(angles):
-            u = _unit_from_angles(angles)
-            s = (aff.A @ u + aff.b)[None, :]
-            return -float(_divergences(s, sigma)[0])
+        neg_div = _surface_divergence(aff, sigma)
 
         for idx in order[:8]:
             u0 = dirs[idx]
@@ -401,15 +477,20 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
                 options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 500},
             )
             iterations += int(pol.nit)
+            evaluations += int(pol.nfev)
             val = -float(pol.fun)
             if val > best_polished + 1e-12:
-                new_points.append(aff.A @ _unit_from_angles(pol.x) + aff.b)
+                new_points.append(aff(_angles_to_unit(*pol.x)))
                 best_polished = max(best_polished, val)
         if not new_points:
             break
-        support = np.vstack([support, np.array(new_points)])
+        new_points = np.array(new_points)
+        support = np.vstack([support, new_points])
+        negentropy = np.concatenate(
+            [negentropy, _one_minus_entropy(np.linalg.norm(new_points, axis=1))]
+        )
 
-    vals = _divergences(support, sigma)
+    vals = _divergences(support, negentropy, sigma)
     r_star = float(vals.max())
 
     # certificate: sigma must be a convex mixture of the maximizers,
@@ -427,32 +508,15 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     return CapacityReport(
         channel_label=channel.label,
         r_star=r_star,
-        optimizer=OptimizerStats(iterations, 1, cert_residual),
+        optimizer=OptimizerStats(iterations, 1, cert_residual, evaluations),
         notes=tuple(notes),
     )
 
 
-def _unit_from_angles(angles) -> np.ndarray:
-    theta, phi = float(angles[0]), float(angles[1])
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
-
-
-def _env_matrix(kraus, m: np.ndarray) -> np.ndarray:
-    n = len(kraus)
-    env = np.empty((n, n), dtype=complex)
-    half = [k @ m for k in kraus]
-    for i in range(n):
-        for j in range(i, n):
-            val = np.trace(half[i] @ kraus[j].conj().T)
-            env[i, j] = val
-            env[j, i] = val.conjugate()
-    return env
-
-
 def _entropy_of(mat: np.ndarray) -> float:
-    w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    return -float(_plog2(w).sum())
+    w = np.linalg.eigvalsh(mat)
+    w = w[w > 0.0]
+    return -float((w * np.log2(w)).sum())
 
 
 def _ball_starts(rng: np.random.Generator, total: int):
@@ -487,11 +551,34 @@ def _density_from_param(x: np.ndarray, d: int) -> np.ndarray:
     return rho / tr
 
 
+def _state_linear_forms(kraus) -> np.ndarray:
+    """Rows F_ab, one per input matrix unit |a><b|, with vec(rho) @ F = (N(rho), env(rho)).
+
+    The channel output and the environment matrix env_ij = Tr(K_i rho K_j^dag)
+    are both linear in rho; each row holds the two matrices flattened and
+    concatenated, so one product per evaluation yields both.
+    """
+    ks = np.array(kraus)
+    d = ks.shape[2]
+    out = np.einsum("ioa,iqb->aboq", ks, ks.conj())  # K|a><b|K^dag
+    env = np.einsum("ioa,job->abij", ks, ks.conj())  # <b|K_j^dag K_i|a>
+    return np.concatenate([out.reshape(d * d, -1), env.reshape(d * d, -1)], axis=1)
+
+
 def _maximize_state_functional(
-    channel: QuantumChannel, cfg: OptimizerConfig, value_of: Callable[[np.ndarray], float]
+    channel: QuantumChannel,
+    cfg: OptimizerConfig,
+    value_of: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
 ):
-    """Maximize a functional of the input state (qubit ball or general)."""
-    d = channel.dim_in
+    """Maximize value_of(rho, N(rho), env(rho)) over input states (qubit ball or general)."""
+    d, d_out, n = channel.dim_in, channel.dim_out, len(channel.kraus)
+    forms = _state_linear_forms(channel.kraus)
+    cut = d_out * d_out
+
+    def value_at(rho):
+        flat = rho.reshape(-1) @ forms
+        return value_of(rho, flat[:cut].reshape(d_out, d_out), flat[cut:].reshape(n, n))
+
     rng = np.random.default_rng(cfg.seed)
     if d == 2:
 
@@ -507,15 +594,14 @@ def _maximize_state_functional(
                 ],
                 dtype=complex,
             ) / 2.0
-            val = value_of(rho)
-            return -val + max(nrm - 1.0, 0.0)  # gentle pullback into the ball
+            return -value_at(rho) + max(nrm - 1.0, 0.0)  # gentle pullback into the ball
 
         starts = _ball_starts(rng, cfg.restarts)
         options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 1500}
     else:
 
         def neg(x):
-            return -value_of(_density_from_param(np.asarray(x, dtype=float), d))
+            return -value_at(_density_from_param(np.asarray(x, dtype=float), d))
 
         starts = _state_param_starts(d, rng, cfg.restarts)
         options = {"xatol": 1e-9, "fatol": 1e-11, "maxiter": 4000}
@@ -533,11 +619,9 @@ def quantum_capacity_single_use(
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    kraus = channel.kraus
 
-    def value_of(rho):
-        out = sum(k @ rho @ k.conj().T for k in kraus)
-        return _entropy_of(out) - _entropy_of(_env_matrix(kraus, rho))
+    def value_of(rho, out, env):
+        return _entropy_of(out) - _entropy_of(env)
 
     raw, stats = _maximize_state_functional(channel, cfg, value_of)
     return CapacityReport(
@@ -562,15 +646,9 @@ def entanglement_assisted(
     _require_solvable(channel)
     if channel.dim_in > 4:
         raise Unsupported("entanglement-assisted solver handles input dimension <= 4")
-    kraus = channel.kraus
 
-    def value_of(rho):
-        out = sum(k @ rho @ k.conj().T for k in kraus)
-        return (
-            _entropy_of(rho)
-            + _entropy_of(out)
-            - _entropy_of(_env_matrix(kraus, rho))
-        )
+    def value_of(rho, out, env):
+        return _entropy_of(rho) + _entropy_of(out) - _entropy_of(env)
 
     best, stats = _maximize_state_functional(channel, cfg, value_of)
     return CapacityReport(
@@ -683,6 +761,8 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             notes=("closed form",),
         )
     if kind == "amplitude_damping":
+        from scipy.optimize import minimize_scalar
+
         gamma = prob("gamma") if "gamma" in params else 1.0 - prob("p")
         _reject_extra(params)
 
@@ -774,6 +854,7 @@ def full_report(
                 stats.iterations + rep.optimizer.iterations,
                 stats.restarts + rep.optimizer.restarts,
                 max(stats.achieved_tolerance, rep.optimizer.achieved_tolerance),
+                stats.evaluations + rep.optimizer.evaluations,
             )
     report = CapacityReport(optimizer=stats, notes=tuple(notes), **merged)
     _check_orderings(report)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import EntropyScalar, binary_entropy, von_neumann
 from .errors import (
@@ -169,6 +168,8 @@ class QuantumChannel:
                 raise DimensionMismatch(
                     f"Kraus shape {k.shape} differs from ({self.dim_out}, {self.dim_in})"
                 )
+            if not np.isfinite(k).all():
+                raise InvalidChannel("Kraus operator has a non-finite entry")
             k.setflags(write=False)
         if trace_preserving:
             total = sum(k.conj().T @ k for k in ops)
@@ -576,6 +577,8 @@ def _angles_to_unit(theta: float, phi: float) -> np.ndarray:
 
 def _max_output_radius(aff: AffineMap) -> float:
     """max_u |A u + b| over the unit sphere, grid plus local polish."""
+    from scipy.optimize import minimize
+
     dirs = _fibonacci_directions(512)
     radii = np.linalg.norm(dirs @ aff.A.T + aff.b, axis=1)
     order = np.argsort(radii)[::-1]
@@ -605,6 +608,8 @@ def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
     qubit channels reduce to maximizing the output Bloch radius; other
     dimensions run a deterministic multi-start search over pure inputs.
     """
+    from scipy.optimize import minimize
+
     report = is_cptp(channel)
     if not report:
         raise InvalidChannel("minimum output entropy needs a CPTP channel")

@@ -131,6 +131,7 @@ def _capacity_report_dict(report: cap.CapacityReport) -> dict:
             "iterations": report.optimizer.iterations,
             "restarts": report.optimizer.restarts,
             "achieved_tolerance": report.optimizer.achieved_tolerance,
+            "evaluations": report.optimizer.evaluations,
         }
     if report.optimal_ensemble is not None:
         ens = report.optimal_ensemble

@@ -109,6 +109,8 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidState("matrix has a non-finite entry")
         if repair:
             m = (m + m.conj().T) / 2.0
             tr = float(np.trace(m).real)

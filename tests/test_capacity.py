@@ -4,6 +4,8 @@ import pytest
 from qchan import (
     Ensemble,
     OptimizerConfig,
+    OptimizerStats,
+    affine_representation,
     analytic_capacity,
     apply,
     entanglement_assisted,
@@ -14,7 +16,9 @@ from qchan import (
     make_channel,
     private_information,
     quantum_capacity_single_use,
+    random_cptp_channel,
 )
+from qchan.capacity import _qubit_neg_chi
 from qchan.errors import InvalidChannel, InvalidParameter, Unsupported
 
 # spot values frozen from plain-float reference computations
@@ -64,6 +68,15 @@ class TestHswNumeric:
         assert rep.optimizer.restarts >= 8
         assert rep.optimizer.achieved_tolerance <= 1e-6
 
+    def test_optimizer_stats_count_evaluations(self):
+        rep = hsw_numeric(make_channel("amplitude_damping", gamma=0.3), FAST)
+        assert rep.optimizer.evaluations >= rep.optimizer.restarts
+        assert OptimizerStats(0, 0, 0.0).evaluations == 0
+
+    def test_reruns_are_byte_identical(self):
+        ch = make_channel("amplitude_damping", gamma=0.3)
+        assert repr(hsw_numeric(ch, FAST)) == repr(hsw_numeric(ch, FAST))
+
     def test_affine_only_channel_rejected(self):
         with pytest.raises(InvalidChannel):
             hsw_numeric(make_channel("pancake"))
@@ -71,6 +84,40 @@ class TestHswNumeric:
     def test_dimension_limit_enforced(self):
         with pytest.raises(Unsupported):
             hsw_numeric(make_channel("identity", d=9))
+
+
+class TestQubitChiGradient:
+    """The analytic gradient of the qubit chi objective matches central differences."""
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            make_channel("depolarizing", p=0.3),
+            make_channel("amplitude_damping", gamma=0.3),
+            random_cptp_channel(2, 2, 3, np.random.default_rng(7)),
+        ],
+        ids=["depolarizing", "amplitude_damping", "random"],
+    )
+    def test_matches_central_differences(self, channel):
+        aff = affine_representation(channel)
+        m = 4
+        neg_chi = _qubit_neg_chi(aff.A, aff.b, m)
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        for _ in range(5):
+            t = np.concatenate([rng.standard_normal(3 * m), 0.5 * rng.standard_normal(m)])
+            _, grad = neg_chi(t)
+            central = np.array(
+                [(neg_chi(t + h * e)[0] - neg_chi(t - h * e)[0]) / (2 * h) for e in np.eye(t.size)]
+            )
+            assert np.allclose(grad, central, atol=1e-7)
+
+    def test_pure_output_keeps_a_finite_gradient(self):
+        # gamma = 0.3 sends the |0> input (Bloch +z) to the pure output at r = 1
+        aff = affine_representation(make_channel("amplitude_damping", gamma=0.3))
+        neg_chi = _qubit_neg_chi(aff.A, aff.b, 2)
+        value, grad = neg_chi(np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0]))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 class TestHswGeometric:
@@ -248,3 +295,7 @@ class TestFullReport:
         )
         solo = hsw_numeric(make_channel("bit_flip", p=0.2), FAST)
         assert rep.optimizer.restarts > solo.optimizer.restarts
+        qcap = quantum_capacity_single_use(make_channel("bit_flip", p=0.2), FAST)
+        assert rep.optimizer.evaluations == (
+            solo.optimizer.evaluations + qcap.optimizer.evaluations
+        )

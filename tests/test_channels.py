@@ -95,6 +95,11 @@ class TestConstructors:
         with pytest.raises(InvalidChannel):
             from_kraus([0.5 * np.eye(2)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_rejected(self, bad):
+        with pytest.raises(InvalidChannel):
+            from_kraus([[[bad, 0.0], [0.0, 1.0]]])
+
 
 class TestApply:
     def test_full_depolarizing_outputs_maximally_mixed(self, rng):

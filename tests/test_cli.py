@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qchan
 from qchan import channel_to_json, make_channel
 from qchan.cli import main
 
@@ -107,6 +112,15 @@ class TestCapacityVerb:
         assert out == ""
         rows = csv_rows(path.read_text())
         assert np.isclose(float(rows[0]["C_hsw"]), 1.0, atol=1e-6)
+
+    def test_json_reports_objective_evaluations(self, capsys):
+        code, out, _ = run(
+            capsys, "capacity", "--kind", "amplitude_damping", "--gamma", "0.3",
+            "--format", "json",
+        )
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["optimizer"]["evaluations"] > 0
 
     def test_channel_file_input(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
@@ -351,3 +365,15 @@ class TestRepeaterSimVerb:
         with pytest.raises(SystemExit) as info:
             main(["repeater-sim", "--policy", "eager", "--target", "0.9"])
         assert info.value.code == 2
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The graph and repeater verbs never optimize, so start-up skips scipy.optimize."""
+    env = dict(os.environ)
+    src = str(Path(qchan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, qchan, qchan.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

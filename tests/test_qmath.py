@@ -63,6 +63,12 @@ class TestDensityMatrix:
         with pytest.raises(InvalidState):
             DensityMatrix([[1.2, 0.0], [0.0, -0.2]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_rejects_non_finite_entry(self, bad, repair):
+        with pytest.raises(InvalidState):
+            DensityMatrix([[bad, 0.0], [0.0, 1.0]], repair=repair)
+
     def test_repair_renormalizes(self):
         rho = DensityMatrix([[0.6, 0.0], [0.0, 0.6]], repair=True)
         assert np.isclose(np.trace(rho.matrix).real, 1.0)
