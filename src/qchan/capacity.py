@@ -30,7 +30,7 @@ from .channels import (
     is_cptp,
     is_unital,
 )
-from .entropy import _plog2, binary_entropy
+from .entropy import binary_entropy
 from .errors import InvalidChannel, InvalidParameter, Unsupported
 from .qmath import DensityMatrix, Ensemble, from_bloch
 
@@ -57,12 +57,16 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass(frozen=True)
 class OptimizerStats:
-    """Work a solve did; evaluations sums res.nfev over every minimize call."""
+    """Work a solve did; evaluations sums res.nfev over every minimize call.
+
+    converged is the optimizer's own success flag for the reported optimum.
+    """
 
     iterations: int
     restarts: int
     achieved_tolerance: float
     evaluations: int = 0
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,11 @@ def _require_solvable(channel: QuantumChannel) -> None:
         )
     if not is_cptp(channel):
         raise InvalidChannel("capacity solvers need a CPTP channel")
+
+
+def _clamp_zero(x: float) -> float:
+    """max(x, 0.0) that returns +0.0, never -0.0 (max(-0.0, 0.0) is -0.0)."""
+    return x if x > 0.0 else 0.0
 
 
 def _softmax(w: np.ndarray) -> np.ndarray:
@@ -124,6 +133,7 @@ class _MultiStart:
         self.cfg = cfg
         self.best_val = math.inf
         self.best_x = None
+        self.converged = True
         self.runner_up = math.inf
         self.iterations = 0
         self.evaluations = 0
@@ -148,6 +158,7 @@ class _MultiStart:
                 self.runner_up = self.best_val
                 self.best_val = val
                 self.best_x = np.asarray(res.x, dtype=float)
+                self.converged = bool(res.success)
                 self._since_improve = 0
             else:
                 self.runner_up = min(self.runner_up, val)
@@ -161,7 +172,9 @@ class _MultiStart:
             spread = abs(self.runner_up - self.best_val)
         else:
             spread = self.cfg.tolerance
-        return OptimizerStats(self.iterations, self.started, spread, self.evaluations)
+        return OptimizerStats(
+            self.iterations, self.started, spread, self.evaluations, self.converged
+        )
 
 
 def _axis_ensemble_starts(m: int, rng: np.random.Generator, total: int):
@@ -255,10 +268,11 @@ def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
         if float(res.fun) <= ms.best_val:
             ms.best_x = np.asarray(res.x, dtype=float)
             ms.best_val = float(res.fun)
+            ms.converged = bool(res.success)
             ms.iterations += int(res.nit)
 
     us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
-    chi = max(-ms.best_val, 0.0)
+    chi = _clamp_zero(-ms.best_val)
     keep = w > 1e-4
     w_kept = w[keep] / w[keep].sum()
     states = [from_bloch(u) for u in us[keep]]
@@ -282,55 +296,70 @@ def _basis_ensemble_starts(d: int, m: int, rng: np.random.Generator, total: int)
 
 
 def _unpack_vector_ensemble(t: np.ndarray, m: int, d: int):
-    amps = []
-    for k in range(m):
-        seg = t[k * 2 * d : (k + 1) * 2 * d]
-        amp = seg[:d] + 1j * seg[d:]
-        nrm = np.linalg.norm(amp)
-        if nrm < 1e-12:
-            amp = np.zeros(d, dtype=complex)
-            amp[0] = 1.0
-        else:
-            amp = amp / nrm
-        amps.append(amp)
-    w = _softmax(t[m * 2 * d :])
-    return amps, w
+    """(states psi_k, weights w, norms |a_k|, live mask) of t = (x_1, y_1, ..., logits).
+
+    Amplitudes a_k = x_k + i y_k; a member with |a_k| < 1e-12 is not live:
+    it becomes e_0 and its norm is reported as 1.
+    """
+    seg = t[: 2 * m * d].reshape(m, 2, d)
+    amps = seg[:, 0] + 1j * seg[:, 1]
+    norms = np.linalg.norm(amps, axis=1)
+    live = norms >= 1e-12
+    psi = np.zeros((m, d), dtype=complex)
+    psi[:, 0] = 1.0
+    psi[live] = amps[live] / norms[live, None]
+    return psi, _softmax(t[2 * m * d :]), np.where(live, norms, 1.0), live
 
 
-def _batched_entropies(mats: np.ndarray) -> np.ndarray:
-    w = np.clip(np.linalg.eigvalsh(mats), 0.0, None)
-    return -_plog2(w).sum(axis=-1)
+def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
+    """-chi of an m-member ensemble of pure inputs, with its gradient.
+
+    The objective takes t = (x_1, y_1, ..., x_m, y_m, logits), unpacked by
+    _unpack_vector_ensemble. With v_ki = K_i psi_k, out_k = sum_i v_ki v_ki^dag
+    and avg = sum_k w_k out_k, -chi = sum_k w_k S(out_k) - S(avg). Its
+    differential in out_k is Tr(M_k d out_k) with M_k = w_k (log2 avg - log2 out_k).
+    Eigenvalues are floored inside log2 only: every v_ki lies in the range
+    of out_k and of avg, so the null-space block never reaches the gradient.
+    """
+    ks = np.asarray(kraus, dtype=complex)
+    ks_conj = ks.conj()
+
+    def neg_chi(t):
+        psi, w, norms, live = _unpack_vector_ensemble(t, m, d)
+        v = np.einsum("iod,kd->kio", ks, psi)
+        outs = np.einsum("kio,kip->kop", v, v.conj())
+        outs = np.concatenate((outs, np.tensordot(w, outs, axes=1)[None]))
+        lam, vecs = np.linalg.eigh(outs)
+        lam = np.maximum(lam, 0.0)
+        logs = np.log2(np.maximum(lam, _TINY))
+        ent = -(lam * logs).sum(axis=1)
+        logm = (vecs * logs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        mk = w[:, None, None] * (logm[m] - logm[:m])
+        g = 2.0 * np.einsum("iod,kio->kd", ks_conj, np.einsum("kop,kip->kio", mk, v))
+        g = (g - (psi.conj() * g).sum(axis=1).real[:, None] * psi) / norms[:, None]
+        g[~live] = 0.0
+        d_w = ent[:m] + np.einsum("op,kpo->k", logm[m], outs[:m]).real
+        grad = np.concatenate(
+            (np.stack((g.real, g.imag), axis=1).reshape(-1), w * (d_w - w @ d_w))
+        )
+        return float(w @ ent[:m] - ent[m]), grad
+
+    return neg_chi
 
 
 def _hsw_general(channel: QuantumChannel, cfg: OptimizerConfig):
     d = channel.dim_in
-    d_out = channel.dim_out
-    kraus = channel.kraus
     m = max(2, int(cfg.max_inputs))
-
-    def neg_chi(t):
-        amps, w = _unpack_vector_ensemble(t, m, d)
-        outs = np.empty((m + 1, d_out, d_out), dtype=complex)
-        for k, amp in enumerate(amps):
-            vs = [op @ amp for op in kraus]
-            outs[k] = sum(np.outer(v, v.conj()) for v in vs)
-        outs[m] = np.tensordot(w, outs[:m], axes=1)
-        ent = _batched_entropies(outs)
-        return -(float(ent[m]) - float(w @ ent[:m]))
-
     rng = np.random.default_rng(cfg.seed)
     opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
-    ms = _MultiStart(cfg).run(
-        neg_chi, _basis_ensemble_starts(d, m, rng, cfg.restarts), options=opts
-    )
-    amps, w = _unpack_vector_ensemble(ms.best_x, m, d)
-    chi = max(-ms.best_val, 0.0)
+    neg_chi = _pure_ensemble_neg_chi(channel.kraus, m, d)
+    starts = _basis_ensemble_starts(d, m, rng, cfg.restarts)
+    ms = _MultiStart(cfg).run(neg_chi, starts, options=opts, jac=True)
+    psi, w, _, _ = _unpack_vector_ensemble(ms.best_x, m, d)
+    chi = _clamp_zero(-ms.best_val)
     keep = w > 1e-4
     w_kept = w[keep] / w[keep].sum()
-    states = [
-        _pure_density(amp) for amp, k in zip(amps, keep) if k
-    ]
-    ensemble = Ensemble(w_kept, states)
+    ensemble = Ensemble(w_kept, [_pure_density(amp) for amp in psi[keep]])
     return chi, ensemble, ms.stats()
 
 
@@ -626,7 +655,7 @@ def quantum_capacity_single_use(
     raw, stats = _maximize_state_functional(channel, cfg, value_of)
     return CapacityReport(
         channel_label=channel.label,
-        Q1=max(raw, 0.0),
+        Q1=_clamp_zero(raw),
         Q1_raw=raw,
         optimizer=stats,
         notes=("single-letter value; lower bound on the regularized capacity",),
@@ -653,7 +682,7 @@ def entanglement_assisted(
     best, stats = _maximize_state_functional(channel, cfg, value_of)
     return CapacityReport(
         channel_label=channel.label,
-        C_E=max(best, 0.0),
+        C_E=_clamp_zero(best),
         optimizer=stats,
         notes=("entanglement-assisted value; single-use equals asymptotic",),
     )
@@ -667,36 +696,23 @@ def private_information(
     _require_solvable(channel)
     if channel.dim_in > 4:
         raise Unsupported("private-information solver handles input dimension <= 4")
-    kraus = channel.kraus
-    comp = complementary(channel)
-    kraus_e = comp.kraus
     d = channel.dim_in
     m = max(2, int(cfg.max_inputs))
+    chi_b = _pure_ensemble_neg_chi(channel.kraus, m, d)
+    chi_e = _pure_ensemble_neg_chi(complementary(channel).kraus, m, d)
 
     def neg_p(t):
-        amps, w = _unpack_vector_ensemble(t, m, d)
-        rhos = [np.outer(a, a.conj()) for a in amps]
-        outs_b = [sum(k @ r @ k.conj().T for k in kraus) for r in rhos]
-        outs_e = [sum(k @ r @ k.conj().T for k in kraus_e) for r in rhos]
-        avg_b = sum(p * o for p, o in zip(w, outs_b))
-        avg_e = sum(p * o for p, o in zip(w, outs_e))
-        chi_b = _entropy_of(avg_b) - float(
-            sum(p * _entropy_of(o) for p, o in zip(w, outs_b))
-        )
-        chi_e = _entropy_of(avg_e) - float(
-            sum(p * _entropy_of(o) for p, o in zip(w, outs_e))
-        )
-        return -(chi_b - chi_e)
+        (val_b, grad_b), (val_e, grad_e) = chi_b(t), chi_e(t)
+        return val_b - val_e, grad_b - grad_e
 
     rng = np.random.default_rng(cfg.seed)
     opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
     ms = _MultiStart(cfg).run(
-        neg_p, _basis_ensemble_starts(d, m, rng, cfg.restarts), options=opts
+        neg_p, _basis_ensemble_starts(d, m, rng, cfg.restarts), options=opts, jac=True
     )
-    best = -ms.best_val
     return CapacityReport(
         channel_label=channel.label,
-        P1=max(best, 0.0),
+        P1=_clamp_zero(-ms.best_val),
         optimizer=ms.stats(),
         notes=("single-letter value; lower bound on the regularized capacity",),
     )
@@ -726,7 +742,7 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             channel_label=f"analytic:erasure(p={p:g},d={d})",
             chi=(1.0 - p) * logd,
             C_hsw=(1.0 - p) * logd,
-            Q1=max(raw, 0.0),
+            Q1=_clamp_zero(raw),
             Q1_raw=raw,
             notes=("closed form",),
         )
@@ -756,7 +772,7 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             channel_label=f"analytic:mixed_erasure(p={p:g},q={q:g},d={d})",
             chi=(1.0 - p) * logd,
             C_hsw=(1.0 - p) * logd,
-            Q1=max(raw, 0.0),
+            Q1=_clamp_zero(raw),
             Q1_raw=raw,
             notes=("closed form",),
         )
@@ -780,7 +796,7 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             raw = min(raw, 0.0)
         return CapacityReport(
             channel_label=f"analytic:amplitude_damping(gamma={gamma:g})",
-            Q1=max(raw, 0.0),
+            Q1=_clamp_zero(raw),
             Q1_raw=raw,
             notes=("closed form; maximized over the population parameter",),
         )
@@ -855,6 +871,7 @@ def full_report(
                 stats.restarts + rep.optimizer.restarts,
                 max(stats.achieved_tolerance, rep.optimizer.achieved_tolerance),
                 stats.evaluations + rep.optimizer.evaluations,
+                stats.converged and rep.optimizer.converged,
             )
     report = CapacityReport(optimizer=stats, notes=tuple(notes), **merged)
     _check_orderings(report)

@@ -132,6 +132,7 @@ def _capacity_report_dict(report: cap.CapacityReport) -> dict:
             "restarts": report.optimizer.restarts,
             "achieved_tolerance": report.optimizer.achieved_tolerance,
             "evaluations": report.optimizer.evaluations,
+            "converged": report.optimizer.converged,
         }
     if report.optimal_ensemble is not None:
         ens = report.optimal_ensemble

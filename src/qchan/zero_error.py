@@ -177,6 +177,11 @@ def _greedy_independent_set(full: int, masks) -> int:
     return chosen
 
 
+def _require_exact_size(nv: int) -> None:
+    if nv > _EXACT_MIS_LIMIT:
+        raise TooLarge(f"{nv} vertices exceeds the exact-search limit {_EXACT_MIS_LIMIT}")
+
+
 def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     """Exact independence number with one witness set.
 
@@ -189,8 +194,7 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     edge-free before returning.
     """
     nv = g.vertex_count
-    if nv > _EXACT_MIS_LIMIT:
-        raise TooLarge(f"{nv} vertices exceeds the exact-search limit {_EXACT_MIS_LIMIT}")
+    _require_exact_size(nv)
     if nv == 0:
         return 0, ()
 
@@ -260,6 +264,8 @@ def zero_error_lower_bound(
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
+    # refuse before strong_product builds the dense power
+    _require_exact_size(g.vertex_count**n)
     g_n = strong_product(g, n) if n > 1 else g
     alpha, witness = max_independent_set(g_n)
     rate = math.log2(alpha) / n

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from qchan import (
     affine_representation,
     analytic_capacity,
     apply,
+    complementary,
     entanglement_assisted,
     full_report,
     holevo_quantity,
@@ -18,7 +22,8 @@ from qchan import (
     quantum_capacity_single_use,
     random_cptp_channel,
 )
-from qchan.capacity import _qubit_neg_chi
+from qchan import capacity
+from qchan.capacity import _MultiStart, _pure_ensemble_neg_chi, _qubit_neg_chi
 from qchan.errors import InvalidChannel, InvalidParameter, Unsupported
 
 # spot values frozen from plain-float reference computations
@@ -73,8 +78,29 @@ class TestHswNumeric:
         assert rep.optimizer.evaluations >= rep.optimizer.restarts
         assert OptimizerStats(0, 0, 0.0).evaluations == 0
 
+    def test_optimizer_stats_default_to_converged(self):
+        assert OptimizerStats(0, 0, 0.0).converged is True
+        assert hsw_numeric(make_channel("erasure", p=0.2), FAST).optimizer.converged is True
+
+    def test_iteration_capped_run_reports_not_converged(self):
+        ch = make_channel("erasure", p=0.2)
+        m, d = 4, ch.dim_in
+        start = np.random.default_rng(3).standard_normal(2 * m * d + m)
+        ms = _MultiStart(FAST).run(
+            _pure_ensemble_neg_chi(ch.kraus, m, d), [start], options={"maxiter": 2}, jac=True
+        )
+        assert ms.stats().converged is False
+
+    def test_general_path_evaluation_guard(self):
+        # finite differences spent 1,743 evaluations here
+        assert hsw_numeric(make_channel("erasure", p=0.2)).optimizer.evaluations <= 300
+
     def test_reruns_are_byte_identical(self):
         ch = make_channel("amplitude_damping", gamma=0.3)
+        assert repr(hsw_numeric(ch, FAST)) == repr(hsw_numeric(ch, FAST))
+
+    def test_general_path_reruns_are_byte_identical(self):
+        ch = random_cptp_channel(2, 3, 2, np.random.default_rng(0))
         assert repr(hsw_numeric(ch, FAST)) == repr(hsw_numeric(ch, FAST))
 
     def test_affine_only_channel_rejected(self):
@@ -118,6 +144,49 @@ class TestQubitChiGradient:
         neg_chi = _qubit_neg_chi(aff.A, aff.b, 2)
         value, grad = neg_chi(np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0]))
         assert np.isfinite(value) and np.all(np.isfinite(grad))
+
+
+def _pure_kernel_channels():
+    cases = [
+        ("erasure", make_channel("erasure", p=0.3)),
+        ("mixed_erasure", make_channel("mixed_erasure", p=0.2, q=0.3)),
+        ("random_2_3", random_cptp_channel(2, 3, 2, np.random.default_rng(3))),
+        ("random_3_2", random_cptp_channel(3, 2, 2, np.random.default_rng(4))),
+    ]
+    for name, ch in cases:
+        yield pytest.param(ch, ch.kraus, id=f"{name}-channel")
+        yield pytest.param(ch, complementary(ch).kraus, id=f"{name}-complement")
+
+
+class TestPureEnsembleChiGradient:
+    """The pure-ensemble chi kernel's analytic gradient matches central differences.
+
+    Erasure outputs are rank 2 in dimension 3, so the eigenvalue floor
+    inside log2 is exercised.
+    """
+
+    @pytest.mark.parametrize("channel,kraus", _pure_kernel_channels())
+    def test_matches_central_differences(self, channel, kraus):
+        m, d = 4, channel.dim_in
+        neg_chi = _pure_ensemble_neg_chi(kraus, m, d)
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        for _ in range(3):
+            t = np.concatenate([rng.standard_normal(2 * m * d), 0.5 * rng.standard_normal(m)])
+            _, grad = neg_chi(t)
+            central = np.array(
+                [(neg_chi(t + h * e)[0] - neg_chi(t - h * e)[0]) / (2 * h) for e in np.eye(t.size)]
+            )
+            assert np.allclose(grad, central, atol=1e-7)
+
+    def test_zero_member_is_basis_state_with_zero_gradient(self):
+        ch = make_channel("erasure", p=0.3)
+        neg_chi = _pure_ensemble_neg_chi(ch.kraus, 2, 2)
+        t = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        value, grad = neg_chi(t)
+        # members e_0 and e_1 with equal weights: chi = (1 - p) bits
+        assert np.isclose(value, -0.7, atol=1e-12)
+        assert np.all(grad[:4] == 0.0)
 
 
 class TestHswGeometric:
@@ -165,6 +234,11 @@ class TestQuantumCapacity:
         assert rep.Q1 <= 1e-9
         assert abs(rep.Q1_raw) <= 1e-9
 
+    def test_useless_erasure_reports_positive_zero(self):
+        rep = quantum_capacity_single_use(make_channel("erasure", p=1.0), FAST)
+        assert rep.Q1 == 0.0
+        assert math.copysign(1.0, rep.Q1) == 1.0
+
     def test_identity_sends_one_qubit(self):
         rep = quantum_capacity_single_use(make_channel("identity"), FAST)
         assert np.isclose(rep.Q1, 1.0, atol=1e-7)
@@ -202,6 +276,16 @@ class TestPrivateInformation:
     def test_dephasing_matches_quantum_value(self):
         rep = private_information(make_channel("dephasing", p=0.1), FAST)
         assert np.isclose(rep.P1, 0.5310044064107188, atol=1e-4)
+
+    def test_reruns_are_byte_identical(self):
+        ch = random_cptp_channel(2, 3, 2, np.random.default_rng(0))
+        assert repr(private_information(ch, FAST)) == repr(private_information(ch, FAST))
+
+    def test_erasure_value_and_ordering(self):
+        ch = make_channel("erasure", p=0.2)
+        p1 = private_information(ch, FAST).P1
+        assert np.isclose(p1, 0.6, atol=1e-9)
+        assert p1 <= hsw_numeric(ch, FAST).C_hsw + 1e-6
 
 
 class TestAnalytic:
@@ -288,6 +372,18 @@ class TestFullReport:
     def test_unknown_measure_rejected(self):
         with pytest.raises(InvalidParameter):
             full_report(make_channel("identity"), FAST, measures=("hsw", "bogus"))
+
+    def test_convergence_is_and_of_solvers(self, monkeypatch):
+        ch = make_channel("bit_flip", p=0.2)
+        assert full_report(ch, FAST, measures=("hsw", "qcap")).optimizer.converged is True
+        real = capacity.hsw_numeric
+
+        def unconverged(channel, cfg=None):
+            rep = real(channel, cfg)
+            return replace(rep, optimizer=replace(rep.optimizer, converged=False))
+
+        monkeypatch.setattr(capacity, "hsw_numeric", unconverged)
+        assert full_report(ch, FAST, measures=("hsw", "qcap")).optimizer.converged is False
 
     def test_optimizer_stats_accumulate(self):
         rep = full_report(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,16 @@ class TestCapacityVerb:
         assert code == 0
         (report,) = json.loads(out)
         assert report["optimizer"]["evaluations"] > 0
+        assert report["optimizer"]["converged"] is True
+
+    def test_useless_erasure_prints_positive_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "capacity", "--kind", "erasure", "--p", "1.0", "--measure", "qcap"
+        )
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert row["Q1"] == "0.0"
+        assert math.copysign(1.0, float(row["Q1"])) == 1.0
 
     def test_channel_file_input(self, capsys, tmp_path):
         path = tmp_path / "chan.json"

@@ -17,6 +17,7 @@ from qchan import (
     strong_product,
     zero_error_lower_bound,
 )
+from qchan import zero_error
 from qchan.errors import InvalidParameter, TooLarge
 
 
@@ -209,6 +210,17 @@ class TestLowerBound:
     def test_rejects_non_positive_uses(self):
         with pytest.raises(InvalidParameter):
             zero_error_lower_bound(pentagon_graph(), 0)
+
+    def test_refuses_before_building_the_power(self, monkeypatch):
+        # 6^5 = 7776 vertices: the dense power alone would take about 230 MB
+        g = confusability_graph(make_channel("dephasing", p=0.3))
+
+        def unexpected(*args):
+            raise AssertionError("strong_product called for a refused request")
+
+        monkeypatch.setattr(zero_error, "strong_product", unexpected)
+        with pytest.raises(TooLarge, match="7776 vertices exceeds the exact-search limit 130"):
+            zero_error_lower_bound(g, 5)
 
 
 class TestGraphJson:
