@@ -30,7 +30,7 @@ from .channels import (
     is_cptp,
     is_unital,
 )
-from .entropy import binary_entropy
+from .entropy import _entropy_and_log2, binary_entropy
 from .errors import InvalidChannel, InvalidParameter, Unsupported
 from .qmath import DensityMatrix, Ensemble, from_bloch
 
@@ -40,6 +40,10 @@ _LN2 = math.log(2.0)
 # Largest Bloch radius the entropy slope -atanh(r)/ln 2 is evaluated at, so
 # that pure outputs (amplitude damping at r = 1) keep a finite gradient.
 _SLOPE_RADIUS = 1.0 - 1e-15
+# (c_rho, c_out, c_env) of the state functionals sum_X c_X S(X(rho)) that
+# quantum_capacity_single_use and entanglement_assisted maximize
+_COHERENT = (0.0, 1.0, -1.0)
+_MUTUAL = (1.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,8 @@ class _MultiStart:
     Runs local refinements from the given starts in order, keeps the best
     result (earliest start wins ties), and stops early once at least 8
     starts ran and 6 in a row failed to improve. Never exceeds
-    cfg.restarts starts.
+    cfg.restarts starts. converged is the winner's success flag, or True
+    when a later start tied it within 1e-15 and converged.
     """
 
     def __init__(self, cfg: OptimizerConfig):
@@ -161,6 +166,8 @@ class _MultiStart:
                 self.converged = bool(res.success)
                 self._since_improve = 0
             else:
+                # a tie that converged confirms the optimum the winner found
+                self.converged |= val <= self.best_val + 1e-15 and bool(res.success)
                 self.runner_up = min(self.runner_up, val)
                 self._since_improve += 1
             if self.started >= 8 and self._since_improve >= 6:
@@ -329,11 +336,7 @@ def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
         v = np.einsum("iod,kd->kio", ks, psi)
         outs = np.einsum("kio,kip->kop", v, v.conj())
         outs = np.concatenate((outs, np.tensordot(w, outs, axes=1)[None]))
-        lam, vecs = np.linalg.eigh(outs)
-        lam = np.maximum(lam, 0.0)
-        logs = np.log2(np.maximum(lam, _TINY))
-        ent = -(lam * logs).sum(axis=1)
-        logm = (vecs * logs[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        ent, logm = _entropy_and_log2(outs)
         mk = w[:, None, None] * (logm[m] - logm[:m])
         g = 2.0 * np.einsum("iod,kio->kd", ks_conj, np.einsum("kop,kip->kio", mk, v))
         g = (g - (psi.conj() * g).sum(axis=1).real[:, None] * psi) / norms[:, None]
@@ -445,7 +448,9 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     capacity. Works entirely in Bloch coordinates and never calls the
     ensemble optimizer, so it is an independent cross-check of
     hsw_numeric. The optimal sigma is certified as a convex mixture of
-    the divergence maximizers with equal divergences.
+    the divergence maximizers with equal divergences. optimizer.converged
+    ANDs the success flags of the outer sigma runs and of the polishes
+    whose point entered the support.
     """
     from scipy.optimize import minimize, nnls
 
@@ -471,6 +476,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     support, negentropy = points, points_negentropy
     iterations = 0
     evaluations = 0
+    converged = True
 
     def outer(sig):
         if math.sqrt(float(sig @ sig)) >= 1.0 - 1e-9:
@@ -487,6 +493,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
         )
         iterations += int(res.nit)
         evaluations += int(res.nfev)
+        converged = converged and bool(res.success)
         sigma = np.asarray(res.x, dtype=float)
         # polish the inner maximum over the output ellipsoid surface
         vals = _divergences(points, points_negentropy, sigma)
@@ -509,6 +516,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
             evaluations += int(pol.nfev)
             val = -float(pol.fun)
             if val > best_polished + 1e-12:
+                converged = converged and bool(pol.success)
                 new_points.append(aff(_angles_to_unit(*pol.x)))
                 best_polished = max(best_polished, val)
         if not new_points:
@@ -537,29 +545,9 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     return CapacityReport(
         channel_label=channel.label,
         r_star=r_star,
-        optimizer=OptimizerStats(iterations, 1, cert_residual, evaluations),
+        optimizer=OptimizerStats(iterations, 1, cert_residual, evaluations, converged),
         notes=tuple(notes),
     )
-
-
-def _entropy_of(mat: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(mat)
-    w = w[w > 0.0]
-    return -float((w * np.log2(w)).sum())
-
-
-def _ball_starts(rng: np.random.Generator, total: int):
-    starts = [np.zeros(3)]
-    for radius in (0.5, 0.9):
-        for axis in range(3):
-            for sign in (1.0, -1.0):
-                e = np.zeros(3)
-                e[axis] = sign * radius
-                starts.append(e)
-    while len(starts) < total:
-        v = rng.standard_normal(3)
-        starts.append(v / np.linalg.norm(v) * rng.uniform(0.0, 0.95))
-    return starts[:total]
 
 
 def _state_param_starts(d: int, rng: np.random.Generator, total: int):
@@ -569,15 +557,6 @@ def _state_param_starts(d: int, rng: np.random.Generator, total: int):
     while len(starts) < total:
         starts.append(rng.standard_normal(2 * d * d))
     return starts
-
-
-def _density_from_param(x: np.ndarray, d: int) -> np.ndarray:
-    m = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
-    rho = m @ m.conj().T
-    tr = float(np.trace(rho).real)
-    if tr < 1e-12:
-        return np.eye(d) / d
-    return rho / tr
 
 
 def _state_linear_forms(kraus) -> np.ndarray:
@@ -594,47 +573,63 @@ def _state_linear_forms(kraus) -> np.ndarray:
     return np.concatenate([out.reshape(d * d, -1), env.reshape(d * d, -1)], axis=1)
 
 
-def _maximize_state_functional(
-    channel: QuantumChannel,
-    cfg: OptimizerConfig,
-    value_of: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
-):
-    """Maximize value_of(rho, N(rho), env(rho)) over input states (qubit ball or general)."""
-    d, d_out, n = channel.dim_in, channel.dim_out, len(channel.kraus)
-    forms = _state_linear_forms(channel.kraus)
+def _state_neg_value(kraus, coeffs) -> Callable:
+    """-f and its gradient for f(rho) = c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)).
+
+    x = (Re M, Im M), each d x d flattened; rho = M M^dag / t, t = Tr M M^dag.
+    The rho-gradient is G = sum_X c_X X^dag(-log2 X(rho)), the adjoints of N
+    and env taken from the forms matrix F as F @ vec(L^T); every X preserves
+    trace and Tr(d rho) = 0, so the -1/ln 2 term of dS drops. With
+    H = G - Tr(G rho) I the gradient is (2/t) (Re HM, Im HM).
+
+    Rank-deficient X(rho): for full-rank rho its null space is that of X(I),
+    which no dX reaches. A further null vector needs a singular M (amplitude
+    damping at |0>, say); then d rho has no block on the null space of
+    M^dag, X^dag of X's null-space projector lives on that null space, and
+    HM drops it. So the floored block of log2 X never reaches the gradient,
+    which stays the exact derivative in M on the boundary of the state space.
+    """
+    forms = _state_linear_forms(kraus)
+    (d_out, d), n = kraus[0].shape, len(kraus)
     cut = d_out * d_out
+    c_rho, c_out, c_env = coeffs
+    eye = np.eye(d)
 
-    def value_at(rho):
+    def neg_value(x):
+        m = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+        p = m @ m.conj().T
+        t = float(np.trace(p).real)
+        if t < 1e-12:  # a vanishing M stands for the identity
+            m, p, t = eye, eye, float(d)
+        rho = p / t
         flat = rho.reshape(-1) @ forms
-        return value_of(rho, flat[:cut].reshape(d_out, d_out), flat[cut:].reshape(n, n))
+        s_out, log_out = _entropy_and_log2(flat[:cut].reshape(d_out, d_out))
+        s_env, log_env = _entropy_and_log2(flat[cut:].reshape(n, n))
+        back = np.concatenate(
+            (c_out * log_out.T.reshape(-1), c_env * log_env.T.reshape(-1))
+        )
+        g = -(forms @ back).reshape(d, d).T
+        value = c_out * s_out + c_env * s_env
+        if c_rho:
+            s_rho, log_rho = _entropy_and_log2(rho)
+            value += c_rho * s_rho
+            g -= c_rho * log_rho
+        hm = (2.0 / t) * ((g - np.trace(g @ rho).real * eye) @ m)
+        return -float(value), -np.concatenate((hm.real.reshape(-1), hm.imag.reshape(-1)))
 
+    return neg_value
+
+
+def _maximize_state_functional(channel: QuantumChannel, cfg: OptimizerConfig, coeffs):
+    """Maximize c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)) over input states."""
     rng = np.random.default_rng(cfg.seed)
-    if d == 2:
-
-        def neg(x):
-            r = np.asarray(x, dtype=float)
-            nrm = np.linalg.norm(r)
-            if nrm > 1.0:
-                r = r / nrm
-            rho = np.array(
-                [
-                    [1.0 + r[2], r[0] - 1j * r[1]],
-                    [r[0] + 1j * r[1], 1.0 - r[2]],
-                ],
-                dtype=complex,
-            ) / 2.0
-            return -value_at(rho) + max(nrm - 1.0, 0.0)  # gentle pullback into the ball
-
-        starts = _ball_starts(rng, cfg.restarts)
-        options = {"xatol": 1e-10, "fatol": 1e-12, "maxiter": 1500}
-    else:
-
-        def neg(x):
-            return -value_at(_density_from_param(np.asarray(x, dtype=float), d))
-
-        starts = _state_param_starts(d, rng, cfg.restarts)
-        options = {"xatol": 1e-9, "fatol": 1e-11, "maxiter": 4000}
-    ms = _MultiStart(cfg).run(neg, starts, method="Nelder-Mead", options=options)
+    opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
+    ms = _MultiStart(cfg).run(
+        _state_neg_value(channel.kraus, coeffs),
+        _state_param_starts(channel.dim_in, rng, cfg.restarts),
+        options=opts,
+        jac=True,
+    )
     return -ms.best_val, ms.stats()
 
 
@@ -649,10 +644,7 @@ def quantum_capacity_single_use(
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
 
-    def value_of(rho, out, env):
-        return _entropy_of(out) - _entropy_of(env)
-
-    raw, stats = _maximize_state_functional(channel, cfg, value_of)
+    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT)
     return CapacityReport(
         channel_label=channel.label,
         Q1=_clamp_zero(raw),
@@ -676,10 +668,7 @@ def entanglement_assisted(
     if channel.dim_in > 4:
         raise Unsupported("entanglement-assisted solver handles input dimension <= 4")
 
-    def value_of(rho, out, env):
-        return _entropy_of(rho) + _entropy_of(out) - _entropy_of(env)
-
-    best, stats = _maximize_state_functional(channel, cfg, value_of)
+    best, stats = _maximize_state_functional(channel, cfg, _MUTUAL)
     return CapacityReport(
         channel_label=channel.label,
         C_E=_clamp_zero(best),

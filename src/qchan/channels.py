@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import EntropyScalar, binary_entropy, von_neumann
+from .entropy import EntropyScalar, _entropy_and_log2, binary_entropy
 from .errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -31,6 +31,7 @@ from .qmath import (
     PAULI_Y,
     PAULI_Z,
     _as_matrix,
+    completeness_residual,
     from_bloch,
     to_bloch,
 )
@@ -172,8 +173,7 @@ class QuantumChannel:
                 raise InvalidChannel("Kraus operator has a non-finite entry")
             k.setflags(write=False)
         if trace_preserving:
-            total = sum(k.conj().T @ k for k in ops)
-            if np.max(np.abs(total - np.eye(self.dim_in))) > COMPLETENESS_TOL:
+            if completeness_residual(ops) > COMPLETENESS_TOL:
                 raise InvalidChannel("Kraus operators do not sum to the identity")
         self._kraus = ops
 
@@ -439,8 +439,7 @@ def is_cptp(channel: QuantumChannel) -> CptpReport:
     c = choi(channel)
     d_in = channel.dim_in
     if channel.kraus is not None:
-        total = sum(k.conj().T @ k for k in channel.kraus)
-        residual = float(np.max(np.abs(total - np.eye(d_in))))
+        residual = completeness_residual(channel.kraus)
     else:
         # partial trace of the Choi state over the output leg
         t = c.matrix.reshape(d_in, channel.dim_out, d_in, channel.dim_out)
@@ -601,12 +600,40 @@ def _max_output_radius(aff: AffineMap) -> float:
     return min(best, 1.0)
 
 
+def _pure_output_entropy(kraus, d: int):
+    """S(N(|psi><psi|)) of psi = a / |a| and its gradient in x = (Re a, Im a).
+
+    With out = sum_i K_i psi psi^dag K_i^dag, dS = -Tr(log2(out) d out) (the
+    trace term drops on the unit sphere), so the gradient in psi is
+    g = -2 sum_i K_i^dag log2(out) K_i psi, projected onto the sphere's
+    tangent space and divided by |a|. Every K_i psi lies in the range of
+    out, so the floored null-space block of log2(out) never reaches g.
+    """
+    ks = np.asarray(kraus, dtype=complex)
+    d_out = ks.shape[1]
+
+    def entropy(x):
+        amp = x[:d] + 1j * x[d:]
+        nrm = float(np.linalg.norm(amp))
+        if nrm < 1e-9:
+            return math.log2(d_out), np.zeros(2 * d)
+        psi = amp / nrm
+        v = ks @ psi
+        ent, logm = _entropy_and_log2(v.T @ v.conj())
+        g = -2.0 * np.einsum("iod,io->d", ks.conj(), v @ logm.T)
+        g = (g - (psi.conj() @ g).real * psi) / nrm
+        return float(ent), np.concatenate((g.real, g.imag))
+
+    return entropy
+
+
 def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
     """Minimum output entropy min_psi S(N(|psi><psi|)).
 
     The minimum over all inputs is attained on a pure state. Qubit-to-
     qubit channels reduce to maximizing the output Bloch radius; other
-    dimensions run a deterministic multi-start search over pure inputs.
+    dimensions run a deterministic multi-start L-BFGS-B search over pure
+    inputs on an analytic gradient.
     """
     from scipy.optimize import minimize
 
@@ -618,32 +645,23 @@ def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
         return EntropyScalar(float(binary_entropy((1.0 + radius) / 2.0)), "von_neumann")
 
     d = channel.dim_in
-
-    def objective(x):
-        amp = x[:d] + 1j * x[d:]
-        nrm = np.linalg.norm(amp)
-        if nrm < 1e-9:
-            return float(math.log2(channel.dim_out))
-        amp = amp / nrm
-        out = _apply_matrix(channel, np.outer(amp, amp.conj()))
-        return float(von_neumann(out))
-
-    starts = []
-    for i in range(d):
-        e = np.zeros(2 * d)
-        e[i] = 1.0
-        starts.append(e)
-    starts.append(np.ones(2 * d) / math.sqrt(2 * d))
-    rng = np.random.default_rng(0)
-    for _ in range(12):
-        starts.append(rng.standard_normal(2 * d))
+    objective = _pure_output_entropy(channel.kraus, d)
+    # the basis states, their uniform superposition, then 12 seeded draws
+    starts = np.vstack(
+        (
+            np.eye(d, 2 * d),
+            np.ones(2 * d) / math.sqrt(2 * d),
+            np.random.default_rng(0).standard_normal((12, 2 * d)),
+        )
+    )
     best = math.inf
     for x0 in starts:
         res = minimize(
             objective,
             x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
+            method="L-BFGS-B",
+            jac=True,
+            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10},
         )
         best = min(best, float(res.fun))
     return EntropyScalar(max(best, 0.0), "von_neumann")

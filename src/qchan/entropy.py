@@ -24,6 +24,7 @@ from .qmath import (
     COMPLETENESS_TOL,
     Ensemble,
     _as_matrix,
+    completeness_residual,
     partial_trace,
 )
 
@@ -42,6 +43,8 @@ _KINDS = frozenset(
 )
 
 _SUPPORT_TOL = 1e-12
+# Eigenvalue floor inside log2 only, so a null-space eigenvalue has a finite log
+_LOG_FLOOR = 1e-300
 
 
 class EntropyScalar(float):
@@ -71,6 +74,21 @@ def _plog2(x: np.ndarray) -> np.ndarray:
     pos = x > 0.0
     out[pos] = x[pos] * np.log2(x[pos])
     return out
+
+
+def _entropy_and_log2(mats: np.ndarray):
+    """(S(X), log2 X) for a stack of Hermitian matrices X, from one eigh.
+
+    Eigenvalues are clipped at 0 for S and floored at 1e-300 inside log2
+    only: S is exact, and a null-space eigenvalue contributes a finite
+    -996.6 to log2 X, which callers must show never reaches their gradient.
+    """
+    lam, vecs = np.linalg.eigh(mats)
+    lam = np.maximum(lam, 0.0)
+    logs = np.log2(np.maximum(lam, _LOG_FLOOR))
+    ent = -(lam * logs).sum(axis=-1)
+    logm = (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return ent, logm
 
 
 def binary_entropy(p: float) -> EntropyScalar:
@@ -217,8 +235,7 @@ def environment_state(rho, channel) -> np.ndarray:
         raise DimensionMismatch(
             f"state dim {m.shape[0]} differs from channel input {channel.dim_in}"
         )
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(total - np.eye(channel.dim_in))) > COMPLETENESS_TOL:
+    if completeness_residual(kraus) > COMPLETENESS_TOL:
         raise InvalidChannel("Kraus completeness fails")
     n = len(kraus)
     env = np.empty((n, n), dtype=complex)

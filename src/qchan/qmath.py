@@ -31,6 +31,12 @@ for _p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
     _p.setflags(write=False)
 
 
+def completeness_residual(ops) -> float:
+    """max |sum_i K_i^dag K_i - I| over the entries, for a nonempty operator list."""
+    total = sum(k.conj().T @ k for k in ops)
+    return float(np.max(np.abs(total - np.eye(ops[0].shape[1]))))
+
+
 def _as_matrix(obj) -> np.ndarray:
     """Complex square ndarray view of a DensityMatrix or array-like."""
     if isinstance(obj, DensityMatrix):
@@ -269,8 +275,7 @@ class MeasurementSet:
         d = ops[0].shape[0]
         if any(m.shape != (d, d) for m in ops):
             raise DimensionMismatch("measurement operators must share one square shape")
-        total = sum(m.conj().T @ m for m in ops)
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+        if completeness_residual(ops) > COMPLETENESS_TOL:
             raise IncompleteMeasurement("operators do not resolve the identity within 1e-9")
         for m in ops:
             m.setflags(write=False)
@@ -435,8 +440,7 @@ def entanglement_fidelity(rho, channel) -> float:
     if channel.dim_in != rho.dim or channel.dim_out != rho.dim:
         raise DimensionMismatch("entanglement fidelity needs dim_out == dim_in == dim(rho)")
     d = rho.dim
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+    if completeness_residual(kraus) > COMPLETENESS_TOL:
         raise InvalidChannel("channel is not trace preserving")
     psi = purify(rho).amplitudes
     eye = np.eye(d)

@@ -9,6 +9,7 @@ four purification scheduling policies that emits a full event trace.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -194,9 +195,12 @@ def expected_rounds(n: int, P0: float) -> float:
     m = 2**n
     q = 1.0 - P0
     if m <= 16:
+        # 1 - q**i = P0 (1 + q + ... + q**(i-1)): a sum of positive terms, so
+        # no cancellation when P0 is tiny, and exactly P0 at i = 1
+        survive = itertools.accumulate(q**j for j in range(m))
         terms = [
-            math.comb(m, i) * (-1.0) ** (i + 1) / (1.0 - q**i)
-            for i in range(1, m + 1)
+            math.comb(m, i) * (-1.0) ** (i + 1) / (P0 * s)
+            for i, s in enumerate(survive, start=1)
         ]
         paired = [sum(terms[k : k + 2]) for k in range(0, m, 2)]
         return math.fsum(paired)

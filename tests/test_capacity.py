@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import OptimizeResult
 
 from qchan import (
     Ensemble,
@@ -23,7 +25,14 @@ from qchan import (
     random_cptp_channel,
 )
 from qchan import capacity
-from qchan.capacity import _MultiStart, _pure_ensemble_neg_chi, _qubit_neg_chi
+from qchan.capacity import (
+    _COHERENT,
+    _MUTUAL,
+    _MultiStart,
+    _pure_ensemble_neg_chi,
+    _qubit_neg_chi,
+    _state_neg_value,
+)
 from qchan.errors import InvalidChannel, InvalidParameter, Unsupported
 
 # spot values frozen from plain-float reference computations
@@ -90,6 +99,21 @@ class TestHswNumeric:
             _pure_ensemble_neg_chi(ch.kraus, m, d), [start], options={"maxiter": 2}, jac=True
         )
         assert ms.stats().converged is False
+
+    @pytest.mark.parametrize("second,converged", [(0.0, True), (1.0, False)])
+    def test_converged_tie_confirms_the_winner(self, monkeypatch, second, converged):
+        # the winner stopped unconverged; a later start that ties it and converged
+        # confirms the optimum, one that lands higher does not
+        runs = iter([(0.0, False), (second, True)])
+
+        def scripted(fun, x0, **kwargs):
+            val, ok = next(runs)
+            return OptimizeResult(fun=val, x=x0, success=ok, nit=1, nfev=1)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", scripted)
+        ms = _MultiStart(FAST).run(None, [np.zeros(1), np.ones(1)])
+        assert ms.best_x.tolist() == [0.0]
+        assert ms.stats().converged is converged
 
     def test_general_path_evaluation_guard(self):
         # finite differences spent 1,743 evaluations here
@@ -189,6 +213,56 @@ class TestPureEnsembleChiGradient:
         assert np.all(grad[:4] == 0.0)
 
 
+def _central_differences(fun, x, h=1e-6):
+    return np.array([(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h) for e in np.eye(x.size)])
+
+
+def _state_kernel_cases():
+    channels = [
+        make_channel("erasure", p=0.3),
+        make_channel("amplitude_damping", gamma=0.3),
+        random_cptp_channel(3, 2, 2, np.random.default_rng(0)),
+    ]
+    return [
+        pytest.param(ch, coeffs, id=f"{name}-{ch.label}-{ch.dim_in}to{ch.dim_out}")
+        for ch in channels
+        for name, coeffs in (("Q1", _COHERENT), ("C_E", _MUTUAL))
+    ]
+
+
+class TestStateFunctionalGradient:
+    """The Q1 / C_E state kernel's analytic gradient matches central differences."""
+
+    @pytest.mark.parametrize("channel,coeffs", _state_kernel_cases())
+    def test_matches_central_differences_at_interior_states(self, channel, coeffs):
+        neg_value = _state_neg_value(channel.kraus, coeffs)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = rng.standard_normal(2 * channel.dim_in**2)
+            _, grad = neg_value(x)
+            assert np.allclose(grad, _central_differences(neg_value, x), atol=1e-7)
+
+    @pytest.mark.parametrize("coeffs", [_COHERENT, _MUTUAL])
+    @pytest.mark.parametrize("gamma", [0.3, 0.8])
+    def test_exact_at_the_damping_fixed_point(self, gamma, coeffs):
+        # rho = |0><0|: rho, N(rho) and env(rho) are all rank one
+        neg_value = _state_neg_value(make_channel("amplitude_damping", gamma=gamma).kraus, coeffs)
+        x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        value, grad = neg_value(x)
+        assert value == 0.0
+        assert np.allclose(grad, _central_differences(neg_value, x), atol=1e-7)
+
+    @pytest.mark.parametrize("coeffs", [_COHERENT, _MUTUAL])
+    def test_exact_at_a_pure_qutrit_input(self, coeffs):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        neg_value = _state_neg_value(ch.kraus, coeffs)
+        m = np.zeros((2, 3, 3))
+        m[:, :, 0] = np.random.default_rng(5).standard_normal((2, 3))
+        x = m.reshape(-1)
+        _, grad = neg_value(x)
+        assert np.allclose(grad, _central_differences(neg_value, x), atol=1e-7)
+
+
 class TestHswGeometric:
     def test_identity_radius_is_one_bit(self):
         rep = hsw_geometric(make_channel("identity"), FAST)
@@ -213,6 +287,22 @@ class TestHswGeometric:
         with pytest.raises(Unsupported):
             hsw_geometric(make_channel("erasure", p=0.5))
 
+    def test_reports_unconverged_runs(self, monkeypatch):
+        ch = make_channel("amplitude_damping", gamma=0.3)
+        rep = hsw_geometric(ch, FAST)
+        assert rep.optimizer.converged is True
+        real = scipy.optimize.minimize
+
+        def unconverged(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+        flagged = hsw_geometric(ch, FAST)
+        assert flagged.optimizer.converged is False
+        assert flagged.r_star == rep.r_star
+
 
 class TestQuantumCapacity:
     @pytest.mark.parametrize("gamma,expected", sorted(DAMPING_Q.items()))
@@ -233,6 +323,21 @@ class TestQuantumCapacity:
         )
         assert rep.Q1 <= 1e-9
         assert abs(rep.Q1_raw) <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.6, 1.0])  # 0.8: test_heavy_damping_has_no_rate
+    def test_damping_past_one_half_has_zero_raw_rate(self, gamma):
+        rep = quantum_capacity_single_use(make_channel("amplitude_damping", gamma=gamma), FAST)
+        assert abs(rep.Q1_raw) <= 1e-9
+
+    def test_evaluation_guard(self):
+        # Nelder-Mead on the density parameters spent 25,485 evaluations here
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        assert quantum_capacity_single_use(ch).optimizer.evaluations <= 1000
+
+    def test_reruns_are_byte_identical(self):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        first = quantum_capacity_single_use(ch, FAST)
+        assert repr(first) == repr(quantum_capacity_single_use(ch, FAST))
 
     def test_useless_erasure_reports_positive_zero(self):
         rep = quantum_capacity_single_use(make_channel("erasure", p=1.0), FAST)
@@ -262,6 +367,10 @@ class TestEntanglementAssisted:
     def test_large_input_rejected(self):
         with pytest.raises(Unsupported):
             entanglement_assisted(make_channel("identity", d=5))
+
+    def test_reruns_are_byte_identical(self):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        assert repr(entanglement_assisted(ch, FAST)) == repr(entanglement_assisted(ch, FAST))
 
 
 class TestPrivateInformation:

@@ -3,6 +3,7 @@ import pytest
 
 from qchan import (
     DensityMatrix,
+    QuantumChannel,
     affine_representation,
     apply,
     binary_entropy,
@@ -26,6 +27,7 @@ from qchan import (
     tetrahedron_check,
     to_bloch,
 )
+from qchan.channels import _pure_output_entropy
 from qchan.errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -94,6 +96,17 @@ class TestConstructors:
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(InvalidChannel):
             from_kraus([0.5 * np.eye(2)])
+
+    def test_incomplete_kraus_residual_reported_and_refused(self):
+        short = [np.diag([1.0, 0.5])]
+        with pytest.raises(InvalidChannel, match="do not sum to the identity"):
+            QuantumChannel(short, 2, 2)
+        loose = QuantumChannel(short, 2, 2, trace_preserving=False)
+        report = is_cptp(loose)
+        assert not report.trace_preserving
+        assert np.isclose(report.completeness_residual, 0.75, atol=1e-15)
+        with pytest.raises(InvalidChannel, match="Kraus completeness fails"):
+            environment_state(np.eye(2) / 2, loose)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_kraus_rejected(self, bad):
@@ -269,6 +282,32 @@ class TestMinOutputEntropy:
     def test_non_cptp_rejected(self):
         with pytest.raises(InvalidChannel):
             min_output_entropy(make_channel("pancake"))
+
+    def test_mixed_erasure_keeps_both_flags(self):
+        s = min_output_entropy(make_channel("mixed_erasure", p=0.2, q=0.3))
+        expected = -sum(x * np.log2(x) for x in (0.2, 0.3, 0.5))
+        assert np.isclose(s, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("channel", [
+        make_channel("erasure", p=0.3),
+        make_channel("mixed_erasure", p=0.2, q=0.3),
+        random_cptp_channel(3, 3, 2, np.random.default_rng(0)),
+    ], ids=lambda ch: ch.label)
+    def test_gradient_matches_central_differences(self, channel):
+        d, h = channel.dim_in, 1e-6
+        entropy = _pure_output_entropy(channel.kraus, d)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            x = rng.standard_normal(2 * d)
+            _, grad = entropy(x)
+            central = np.array(
+                [(entropy(x + h * e)[0] - entropy(x - h * e)[0]) / (2 * h) for e in np.eye(2 * d)]
+            )
+            assert np.allclose(grad, central, atol=1e-7)
+
+    def test_reruns_are_byte_identical(self):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        assert repr(min_output_entropy(ch)) == repr(min_output_entropy(ch))
 
 
 class TestDegradability:

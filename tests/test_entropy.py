@@ -24,6 +24,7 @@ from qchan import (
     tensor_product,
     von_neumann,
 )
+from qchan.entropy import _entropy_and_log2
 from qchan.errors import InfiniteDivergence, InvalidOrder, InvalidProbability
 
 from conftest import random_bloch, random_density
@@ -209,3 +210,19 @@ class TestCoherentInformation:
         ch = make_channel("phase_flip", p=0.3)
         _, s_e = coherent_information(rho, ch)
         assert np.isclose(s_e, von_neumann(environment_state(rho, ch)), atol=1e-12)
+
+
+class TestEntropyAndLog2:
+    def test_stack_matches_von_neumann_and_spectral_log(self, rng):
+        mats = np.stack([random_density(rng, 3).matrix for _ in range(4)])
+        ent, logm = _entropy_and_log2(mats)
+        for m, s, lg in zip(mats, ent, logm):
+            assert np.isclose(s, von_neumann(m), atol=1e-13)
+            w, v = np.linalg.eigh(m)
+            assert np.allclose(lg, (v * np.log2(w)) @ v.conj().T, atol=1e-10)
+
+    def test_null_space_is_floored_inside_log_only(self):
+        ent, logm = _entropy_and_log2(np.diag([1.0, 0.0]))
+        assert ent == 0.0
+        assert logm[0, 0] == 0.0
+        assert np.isclose(logm[1, 1], math.log2(1e-300))

@@ -22,6 +22,7 @@ from qchan import (
     tensor_product,
     to_bloch,
 )
+from qchan.qmath import completeness_residual
 from qchan.errors import (
     DimensionMismatch,
     IncompleteMeasurement,
@@ -266,3 +267,26 @@ class TestEnsemble:
     def test_rejects_bad_weights(self):
         with pytest.raises(InvalidState):
             Ensemble([0.7, 0.7], [from_bloch([0, 0, 1]), from_bloch([0, 0, -1])])
+
+
+class TestCompletenessResidual:
+    def test_complete_set_has_no_residual(self):
+        kraus = make_channel("amplitude_damping", gamma=0.3).kraus
+        assert completeness_residual(kraus) <= 1e-15
+
+    def test_residual_is_largest_entry_gap(self):
+        ops = [np.diag([1.0, 0.5]), np.array([[0.0, 0.1], [0.0, 0.0]])]
+        # sum K^dag K = diag(1, 0.26)
+        assert np.isclose(completeness_residual(ops), 0.74, atol=1e-15)
+
+    def test_incomplete_set_rejected_by_measurements_and_fidelity(self):
+        short = [np.diag([1.0, 0.5])]
+        with pytest.raises(IncompleteMeasurement, match="resolve the identity"):
+            MeasurementSet(short)
+
+        class Loose:
+            kraus = short
+            dim_in = dim_out = 2
+
+        with pytest.raises(InvalidChannel, match="not trace preserving"):
+            entanglement_fidelity(np.eye(2) / 2, Loose())

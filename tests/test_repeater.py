@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,13 @@ class TestExpectedRounds:
     def test_matches_exact_rationals(self, key, expected):
         n, p0 = key
         assert np.isclose(expected_rounds(n, p0), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("p0", [1e-9, 1e-6])
+    def test_tiny_success_probability_keeps_full_precision(self, p0):
+        # 1 - q**i cancelled here: 3e-7 relative error at P0 = 1e-9
+        m, q = 16, 1 - Fraction(p0)
+        exact = sum(math.comb(m, i) * (-1) ** (i + 1) / (1 - q**i) for i in range(1, m + 1))
+        assert math.isclose(expected_rounds(4, p0), float(exact), rel_tol=1e-12)
 
     def test_certain_success_takes_one_round(self):
         for n in (0, 1, 3, 5):
