@@ -23,14 +23,21 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
-    _angles_to_unit,
-    _fibonacci_directions,
+    _superoperator,
     affine_representation,
     complementary,
+    from_kraus,
     is_cptp,
     is_unital,
+    min_output_entropy,
 )
-from .entropy import _entropy_and_log2, binary_entropy
+from .entropy import (
+    _bloch_divergences,
+    _bloch_negentropy,
+    _bloch_sigma_terms,
+    _entropy_and_log2,
+    binary_entropy,
+)
 from .errors import InvalidChannel, InvalidParameter, Unsupported
 from .qmath import DensityMatrix, Ensemble, from_bloch
 
@@ -110,18 +117,6 @@ def _clamp_zero(x: float) -> float:
 def _softmax(w: np.ndarray) -> np.ndarray:
     e = np.exp(w - w.max())
     return e / e.sum()
-
-
-def _one_minus_entropy(radii: np.ndarray) -> np.ndarray:
-    """1 - S(rho) for qubit states of the given Bloch radii (vectorized)."""
-    r = np.minimum(np.asarray(radii, dtype=float), 1.0)
-    hi, lo = 1.0 + r, 1.0 - r
-    # lo * log2(lo) -> 0 as lo -> 0; the floor only keeps log2 finite
-    return 0.5 * (hi * np.log2(hi) + lo * np.log2(np.maximum(lo, _TINY)))
-
-
-def _entropy_of_radius(radii):
-    return 1.0 - _one_minus_entropy(radii)
 
 
 class _MultiStart:
@@ -234,7 +229,7 @@ def _qubit_neg_chi(a: np.ndarray, b: np.ndarray, m: int) -> Callable:
         outs = us @ a_t + b
         avg = w @ outs
         rads = np.sqrt(np.concatenate(((outs * outs).sum(axis=1), [avg @ avg])))
-        ent = _entropy_of_radius(rads)
+        ent = 1.0 - _bloch_negentropy(rads)
         value = float(w @ ent[:m] - ent[m])
         # (dS/dr) / r per output; outputs at r = 0 are the zero vector,
         # so any finite factor gives them a zero gradient
@@ -393,24 +388,18 @@ def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) 
     )
 
 
-def _sigma_terms(sigma: np.ndarray):
-    """(unit direction, log term, half log ratio) of an interior qubit sigma.
-
-    D(p || sigma) = (1 - S(p)) - log_term - (p . direction) * half_log_ratio;
-    all three are zero at the maximally mixed sigma.
-    """
-    r_s = min(math.sqrt(float(sigma @ sigma)), 1.0 - 1e-12)
-    if r_s == 0.0:
-        return np.zeros(3), 0.0, 0.0
-    log_term = 0.5 * math.log2(1.0 - r_s * r_s)
-    half_log_ratio = 0.5 * math.log2((1.0 + r_s) / (1.0 - r_s))
-    return sigma / r_s, log_term, half_log_ratio
+def _fibonacci_directions(n: int) -> np.ndarray:
+    """n roughly uniform unit vectors on the sphere, deterministic."""
+    i = np.arange(n, dtype=float) + 0.5
+    z = 1.0 - 2.0 * i / n
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
-def _divergences(points: np.ndarray, negentropy: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """D(point || sigma) for qubit Bloch points, given negentropy = 1 - S(point)."""
-    direction, log_term, half_log_ratio = _sigma_terms(sigma)
-    return (negentropy - log_term) - (points @ direction) * half_log_ratio
+def _angles_to_unit(theta: float, phi: float) -> np.ndarray:
+    s = math.sin(theta)
+    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
 
 
 def _xlog2(x: float) -> float:
@@ -419,7 +408,7 @@ def _xlog2(x: float) -> float:
 
 def _surface_divergence(aff, sigma: np.ndarray) -> Callable:
     """-D(A u(theta, phi) + b || sigma) as scalar math over the two angles."""
-    direction, log_term, half_log_ratio = _sigma_terms(sigma)
+    direction, log_term, half_log_ratio = _bloch_sigma_terms(sigma)
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = aff.A.tolist()
     b0, b1, b2 = aff.b.tolist()
     c0, c1, c2 = (aff.A.T @ direction).tolist()
@@ -472,7 +461,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
         )
 
     # 1 - S(point) does not depend on sigma: computed once per support point
-    points_negentropy = _one_minus_entropy(np.linalg.norm(points, axis=1))
+    points_negentropy = _bloch_negentropy(np.linalg.norm(points, axis=1))
     support, negentropy = points, points_negentropy
     iterations = 0
     evaluations = 0
@@ -481,7 +470,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     def outer(sig):
         if math.sqrt(float(sig @ sig)) >= 1.0 - 1e-9:
             return math.inf
-        return float(_divergences(support, negentropy, sig).max())
+        return float(_bloch_divergences(support, negentropy, sig).max())
 
     sigma = points.mean(axis=0)
     for _ in range(4):
@@ -496,7 +485,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
         converged = converged and bool(res.success)
         sigma = np.asarray(res.x, dtype=float)
         # polish the inner maximum over the output ellipsoid surface
-        vals = _divergences(points, points_negentropy, sigma)
+        vals = _bloch_divergences(points, points_negentropy, sigma)
         order = np.argsort(vals)[::-1]
         new_points = []
         best_polished = float(vals[order[0]])
@@ -524,10 +513,10 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
         new_points = np.array(new_points)
         support = np.vstack([support, new_points])
         negentropy = np.concatenate(
-            [negentropy, _one_minus_entropy(np.linalg.norm(new_points, axis=1))]
+            [negentropy, _bloch_negentropy(np.linalg.norm(new_points, axis=1))]
         )
 
-    vals = _divergences(support, negentropy, sigma)
+    vals = _bloch_divergences(support, negentropy, sigma)
     r_star = float(vals.max())
 
     # certificate: sigma must be a convex mixture of the maximizers,
@@ -563,14 +552,13 @@ def _state_linear_forms(kraus) -> np.ndarray:
     """Rows F_ab, one per input matrix unit |a><b|, with vec(rho) @ F = (N(rho), env(rho)).
 
     The channel output and the environment matrix env_ij = Tr(K_i rho K_j^dag)
-    are both linear in rho; each row holds the two matrices flattened and
-    concatenated, so one product per evaluation yields both.
+    are the images of rho under the channel and its complementary channel;
+    each row holds the two matrices flattened and concatenated, so one
+    product per evaluation yields both.
     """
-    ks = np.array(kraus)
-    d = ks.shape[2]
-    out = np.einsum("ioa,iqb->aboq", ks, ks.conj())  # K|a><b|K^dag
-    env = np.einsum("ioa,job->abij", ks, ks.conj())  # <b|K_j^dag K_i|a>
-    return np.concatenate([out.reshape(d * d, -1), env.reshape(d * d, -1)], axis=1)
+    channel = from_kraus(kraus)
+    forms = np.vstack([_superoperator(channel), _superoperator(complementary(channel))])
+    return np.ascontiguousarray(forms.T)  # one contiguous row per input matrix unit
 
 
 def _state_neg_value(kraus, coeffs) -> Callable:
@@ -816,7 +804,23 @@ def _reject_extra(params: dict) -> None:
         raise InvalidParameter(f"unexpected parameters {sorted(params)}")
 
 
-_MEASURES = ("hsw", "hsw-geo", "qcap", "ea", "private", "minent")
+def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> CapacityReport:
+    """min_output_entropy as a report with S_min set; it takes no optimizer knobs."""
+    return CapacityReport(channel_label=channel.label, S_min=float(min_output_entropy(channel)))
+
+
+# Measure name -> (solver, the report fields it fills). Its order is the order
+# of --measure all and of the CLI's CSV columns. Solvers are named, not held,
+# so that full_report calls whatever the module attribute is at call time.
+MEASURES = {
+    "hsw": ("hsw_numeric", ("chi", "C_hsw")),
+    "qcap": ("quantum_capacity_single_use", ("Q1", "Q1_raw")),
+    "ea": ("entanglement_assisted", ("C_E",)),
+    "private": ("private_information", ("P1",)),
+    "hsw-geo": ("hsw_geometric", ("r_star",)),
+    "minent": ("_min_entropy_report", ("S_min",)),
+}
+REPORT_FIELDS = tuple(name for _, fields in MEASURES.values() for name in fields)
 
 
 def full_report(
@@ -825,31 +829,18 @@ def full_report(
     measures=("hsw",),
 ) -> CapacityReport:
     """Run the requested solvers and merge their fields into one report."""
-    from .channels import min_output_entropy
-
     cfg = cfg or DEFAULT_CONFIG
     if measures == "all" or "all" in measures:
-        measures = _MEASURES
+        measures = tuple(MEASURES)
     merged: dict = {"channel_label": channel.label}
     notes: list = []
     stats = None
     for measure in measures:
-        if measure == "hsw":
-            rep = hsw_numeric(channel, cfg)
-        elif measure == "hsw-geo":
-            rep = hsw_geometric(channel, cfg)
-        elif measure == "qcap":
-            rep = quantum_capacity_single_use(channel, cfg)
-        elif measure == "ea":
-            rep = entanglement_assisted(channel, cfg)
-        elif measure == "private":
-            rep = private_information(channel, cfg)
-        elif measure == "minent":
-            merged["S_min"] = float(min_output_entropy(channel))
-            continue
-        else:
+        if measure not in MEASURES:
             raise InvalidParameter(f"unknown measure {measure!r}")
-        for name in ("chi", "C_hsw", "Q1", "Q1_raw", "C_E", "P1", "r_star"):
+        solver, fields = MEASURES[measure]
+        rep = globals()[solver](channel, cfg)
+        for name in fields:
             val = getattr(rep, name)
             if val is not None:
                 merged[name] = val

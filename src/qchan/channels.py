@@ -398,11 +398,9 @@ def _superoperator(channel: QuantumChannel) -> np.ndarray:
     """Row-major-vec superoperator M with vec(N(rho)) = M vec(rho)."""
     if channel.kraus is None:
         raise InvalidChannel("affine-only channel has no Kraus superoperator")
-    d_in, d_out = channel.dim_in, channel.dim_out
-    m = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
-    for k in channel.kraus:
-        m += np.kron(k, k.conj())
-    return m
+    ks = np.asarray(channel.kraus)
+    m = np.einsum("ioa,iqb->oqab", ks, ks.conj())
+    return m.reshape(channel.dim_out**2, channel.dim_in**2)
 
 
 def _choi_from_superop(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -560,44 +558,39 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     )
 
 
-def _fibonacci_directions(n: int) -> np.ndarray:
-    """n roughly uniform unit vectors on the sphere, deterministic."""
-    i = np.arange(n, dtype=float) + 0.5
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
-
-
-def _angles_to_unit(theta: float, phi: float) -> np.ndarray:
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
-
-
 def _max_output_radius(aff: AffineMap) -> float:
-    """max_u |A u + b| over the unit sphere, grid plus local polish."""
-    from scipy.optimize import minimize
+    """max_u |A u + b| over the unit sphere, exactly.
 
-    dirs = _fibonacci_directions(512)
-    radii = np.linalg.norm(dirs @ aff.A.T + aff.b, axis=1)
-    order = np.argsort(radii)[::-1]
-
-    def neg_radius(x):
-        return -float(np.linalg.norm(aff(_angles_to_unit(x[0], x[1]))))
-
-    best = float(radii[order[0]])
-    for idx in order[:8]:
-        u = dirs[idx]
-        theta = math.acos(max(-1.0, min(1.0, u[2])))
-        phi = math.atan2(u[1], u[0])
-        res = minimize(
-            neg_radius,
-            np.array([theta, phi]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-        )
-        best = max(best, -float(res.fun))
-    return min(best, 1.0)
+    With M = A^T A = V diag(mu) V^T and g = V^T A^T b, the maximizer is
+    u = V y with y_i = g_i / (s + mu_max - mu_i), where s >= 0 is the root of
+    the secular equation |y| = 1 (Gander, Golub & von Matt, A constrained
+    eigenvalue problem, Linear Algebra Appl. 114/115, 1989). 1/|y(s)| is
+    concave, so Newton from below the root climbs to it monotonically. In
+    the hard case (g has no top-eigenspace component, e.g. b = 0 on unital
+    channels) |y| < 1 already at s = 0, and t v_1 fills y up to the sphere.
+    """
+    a, b = aff.A, aff.b
+    mu, vecs = np.linalg.eigh(a.T @ a)
+    g = vecs.T @ (a.T @ b)
+    gap = mu[-1] - mu
+    # below the root: at s = |g_i| - gap_i the i-th term alone reaches 1
+    s = max(float(np.max(np.abs(g) - gap)), 1e-300)
+    for _ in range(100):
+        y = g / (s + gap)
+        norm2 = float(y @ y)
+        if norm2 <= 1.0:
+            break
+        step = (math.sqrt(norm2) - 1.0) * norm2 / float((y * y / (s + gap)).sum())
+        if step <= 1e-16 * s:
+            break
+        s += step
+    fill = 1.0 - float(y @ y)
+    # a smaller fill is rounding noise at |y| = 1 (amplitude damping), and
+    # dropping t costs only mu_max t^4 of |A u + b|^2
+    if fill > 1e-8:
+        y[-1] = math.sqrt(fill)
+    u = vecs @ (y / np.linalg.norm(y))
+    return min(float(np.linalg.norm(a @ u + b)), 1.0)
 
 
 def _pure_output_entropy(kraus, d: int):
@@ -631,18 +624,18 @@ def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
     """Minimum output entropy min_psi S(N(|psi><psi|)).
 
     The minimum over all inputs is attained on a pure state. Qubit-to-
-    qubit channels reduce to maximizing the output Bloch radius; other
-    dimensions run a deterministic multi-start L-BFGS-B search over pure
-    inputs on an analytic gradient.
+    qubit channels reduce to the largest output Bloch radius, which has a
+    closed form; other dimensions run a deterministic multi-start L-BFGS-B
+    search over pure inputs on an analytic gradient.
     """
-    from scipy.optimize import minimize
-
     report = is_cptp(channel)
     if not report:
         raise InvalidChannel("minimum output entropy needs a CPTP channel")
     if channel.dim_in == 2 and channel.dim_out == 2 and channel.kraus is not None:
         radius = _max_output_radius(affine_representation(channel))
         return EntropyScalar(float(binary_entropy((1.0 + radius) / 2.0)), "von_neumann")
+
+    from scipy.optimize import minimize
 
     d = channel.dim_in
     objective = _pure_output_entropy(channel.kraus, d)

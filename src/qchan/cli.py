@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -36,7 +38,7 @@ CHANNEL_KINDS = (
     "pancake",
 )
 
-CAPACITY_COLUMNS = ("kind", "param", "chi", "C_hsw", "Q1", "C_E", "P1", "r_star")
+CAPACITY_COLUMNS = ("kind", "param") + cap.REPORT_FIELDS
 RATE_COLUMNS = ("F0", "P0", "n", "Z_n", "R_n", "R_approx")
 ZERO_ERROR_COLUMNS = ("graph", "n", "K", "rate", "witness")
 SIM_COLUMNS = ("trial", "seed", "outcome", "rounds", "raw_pairs", "final_fidelity")
@@ -59,6 +61,8 @@ def _parse_sweep(text: str) -> List[float]:
     if len(parts) != 3:
         raise InvalidParameter(f"sweep {text!r} must look like start:end:step")
     start, end, step = (float(x) for x in parts)
+    if not all(math.isfinite(x) for x in (start, end, step)):
+        raise InvalidParameter(f"sweep {text!r} has a non-finite bound or step")
     if step <= 0.0:
         raise InvalidParameter(f"sweep step {step} must be positive")
     if start > end:
@@ -122,18 +126,12 @@ def _capacity_report_dict(report: cap.CapacityReport) -> dict:
         "channel_label": report.channel_label,
         "notes": list(report.notes),
     }
-    for name in ("chi", "C_hsw", "Q1", "Q1_raw", "C_E", "P1", "r_star", "S_min"):
+    for name in cap.REPORT_FIELDS:
         value = getattr(report, name)
         if value is not None:
             data[name] = float(value)
     if report.optimizer is not None:
-        data["optimizer"] = {
-            "iterations": report.optimizer.iterations,
-            "restarts": report.optimizer.restarts,
-            "achieved_tolerance": report.optimizer.achieved_tolerance,
-            "evaluations": report.optimizer.evaluations,
-            "converged": report.optimizer.converged,
-        }
+        data["optimizer"] = dataclasses.asdict(report.optimizer)
     if report.optimal_ensemble is not None:
         ens = report.optimal_ensemble
         data["optimal_ensemble"] = {
@@ -223,18 +221,7 @@ def _cmd_capacity(args) -> str:
         if value is not None:
             data["param"] = value
         reports.append(data)
-        rows.append(
-            (
-                channel.kind,
-                value,
-                data.get("chi"),
-                data.get("C_hsw"),
-                data.get("Q1"),
-                data.get("C_E"),
-                data.get("P1"),
-                data.get("r_star"),
-            )
-        )
+        rows.append((channel.kind, value, *(data.get(name) for name in cap.REPORT_FIELDS)))
     if args.format == "json":
         return _json_text(reports)
     return _csv_text(CAPACITY_COLUMNS, rows)
@@ -385,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument(
         "--measure",
         default="hsw",
-        help="comma-separated subset of hsw,hsw-geo,qcap,ea,private,minent or all",
+        help=f"comma-separated subset of {','.join(cap.MEASURES)} or all",
     )
     capacity.add_argument("--seed", type=int, default=0)
     _add_output_options(capacity, "csv")

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InfiniteDivergence,
+    InvalidBlochVector,
     InvalidChannel,
     InvalidOrder,
     InvalidProbability,
@@ -91,6 +92,34 @@ def _entropy_and_log2(mats: np.ndarray):
     return ent, logm
 
 
+def _bloch_negentropy(radii) -> np.ndarray:
+    """1 - S(rho) for qubit states of the given Bloch radii (vectorized)."""
+    r = np.minimum(np.asarray(radii, dtype=float), 1.0)
+    hi, lo = 1.0 + r, 1.0 - r
+    # lo * log2(lo) -> 0 as lo -> 0; the floor only keeps log2 finite
+    return 0.5 * (hi * np.log2(hi) + lo * np.log2(np.maximum(lo, _LOG_FLOOR)))
+
+
+def _bloch_sigma_terms(sigma: np.ndarray):
+    """(unit direction, log term, half log ratio) of an interior qubit sigma.
+
+    D(p || sigma) = (1 - S(p)) - log_term - (p . direction) * half_log_ratio;
+    all three are zero at the maximally mixed sigma.
+    """
+    r_s = min(math.sqrt(float(sigma @ sigma)), 1.0 - 1e-12)
+    if r_s == 0.0:
+        return np.zeros(3), 0.0, 0.0
+    log_term = 0.5 * math.log2(1.0 - r_s * r_s)
+    half_log_ratio = 0.5 * math.log2((1.0 + r_s) / (1.0 - r_s))
+    return sigma / r_s, log_term, half_log_ratio
+
+
+def _bloch_divergences(points: np.ndarray, negentropy: np.ndarray, sigma: np.ndarray):
+    """D(p || sigma) for qubit Bloch points p, given negentropy = 1 - S(p) (vectorized)."""
+    direction, log_term, half_log_ratio = _bloch_sigma_terms(sigma)
+    return (negentropy - log_term) - (points @ direction) * half_log_ratio
+
+
 def binary_entropy(p: float) -> EntropyScalar:
     """H2(p) = -p log2 p - (1-p) log2(1-p), zero at both endpoints."""
     p = float(p)
@@ -147,25 +176,17 @@ def relative_entropy_bloch(r_rho, r_sigma) -> EntropyScalar:
     b = np.asarray(tuple(r_sigma), dtype=float)
     if a.shape != (3,) or b.shape != (3,):
         raise DimensionMismatch("Bloch vectors need exactly 3 components")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidBlochVector("Bloch vector has a non-finite component")
     ra = float(np.linalg.norm(a))
     rb = float(np.linalg.norm(b))
     if ra > 1.0 + 1e-10 or rb > 1.0 + 1e-10:
         raise InfiniteDivergence("Bloch norm exceeds 1")
-    ra = min(ra, 1.0)
     if rb >= 1.0 - 1e-12:
         if np.linalg.norm(a - b) <= 1e-12:
             return EntropyScalar(0.0, "relative")
         raise InfiniteDivergence("sigma is pure and differs from rho")
-    # 1 - S(rho), written in a form stable at ra = 1
-    first = 0.5 * float(_plog2([1.0 + ra, 1.0 - ra]).sum())
-    half_log_ratio = 0.5 * math.log2((1.0 + rb) / (1.0 - rb))
-    cos_term = float(a @ b) / rb if rb > 0.0 else 0.0
-    value = (
-        first
-        - 0.5 * math.log2((1.0 + rb) * (1.0 - rb))
-        - cos_term * half_log_ratio
-    )
-    return EntropyScalar(value, "relative")
+    return EntropyScalar(float(_bloch_divergences(a, _bloch_negentropy(ra), b)), "relative")
 
 
 def holevo_quantity(ensemble: Ensemble) -> EntropyScalar:
@@ -237,15 +258,8 @@ def environment_state(rho, channel) -> np.ndarray:
         )
     if completeness_residual(kraus) > COMPLETENESS_TOL:
         raise InvalidChannel("Kraus completeness fails")
-    n = len(kraus)
-    env = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        ki_rho = kraus[i] @ m
-        for j in range(i, n):
-            val = np.trace(ki_rho @ kraus[j].conj().T)
-            env[i, j] = val
-            env[j, i] = val.conjugate()
-    return env
+    ks = np.asarray(kraus)
+    return np.einsum("ioa,ab,job->ij", ks, m, ks.conj())
 
 
 def coherent_information(rho, channel):

@@ -44,6 +44,8 @@ def _as_matrix(obj) -> np.ndarray:
     m = np.asarray(obj, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidState("matrix has a non-finite entry")
     return m
 
 

@@ -63,15 +63,15 @@ class RepeaterConfig:
     c: float = SIGNAL_SPEED
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise InvalidParameter(f"distance {self.L} must be positive")
+        if not math.isfinite(self.L) or self.L <= 0:
+            raise InvalidParameter(f"distance {self.L} must be positive and finite")
         if self.segments < 1 or self.segments & (self.segments - 1):
             raise InvalidParameter(f"segments = {self.segments} is not a power of two")
         _check_unit("P0", self.P0)
         _check_unit("eta", self.eta)
         _check_unit("F0", self.F0)
-        if self.c <= 0:
-            raise InvalidParameter(f"signal speed {self.c} must be positive")
+        if not math.isfinite(self.c) or self.c <= 0:
+            raise InvalidParameter(f"signal speed {self.c} must be positive and finite")
 
     @property
     def L0(self) -> float:

@@ -27,7 +27,7 @@ from qchan import (
     tetrahedron_check,
     to_bloch,
 )
-from qchan.channels import _pure_output_entropy
+from qchan.channels import _max_output_radius, _pure_output_entropy
 from qchan.errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -50,6 +50,29 @@ ZOO = [
     ("mixed_erasure", {"p": 0.2, "q": 0.3}),
     ("measure_prepare", {}),
 ]
+
+
+def _radius_panel():
+    """Qubit family channels, then 40 random 2->2 channels with 3 Kraus operators.
+
+    Every fourth random channel mixes three random unitaries, so it is unital
+    and its radius is the hard case of the secular equation.
+    """
+    channels = [make_channel("identity"), make_channel("measure_prepare")]
+    for kind in ("bit_flip", "phase_flip", "bit_phase_flip", "dephasing", "depolarizing"):
+        channels += [make_channel(kind, p=p) for p in (0.0, 0.2, 0.5, 1.0)]
+    channels += [make_channel("amplitude_damping", gamma=g) for g in (0.0, 0.3, 0.4, 0.8, 1.0)]
+    rng = np.random.default_rng(11)
+    for j in range(40):
+        if j % 4 == 3:
+            gauss = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+            weights = rng.dirichlet(np.ones(3))
+            channels.append(
+                from_kraus([np.sqrt(w) * np.linalg.qr(g)[0] for w, g in zip(weights, gauss)])
+            )
+        else:
+            channels.append(random_cptp_channel(2, 2, 3, rng))
+    return channels
 
 
 class TestConstructors:
@@ -308,6 +331,36 @@ class TestMinOutputEntropy:
     def test_reruns_are_byte_identical(self):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
         assert repr(min_output_entropy(ch)) == repr(min_output_entropy(ch))
+
+    def test_exact_radius_matches_a_dense_grid(self):
+        from scipy.optimize import minimize
+
+        channels = _radius_panel()
+        assert sum(is_unital(ch) for ch in channels[-40:]) == 10
+        dirs = np.random.default_rng(5).standard_normal((3, 200_000))
+        dirs /= np.linalg.norm(dirs, axis=0)
+        for ch in channels:
+            aff = affine_representation(ch)
+            radius = _max_output_radius(aff)
+            out = aff.A @ dirs + aff.b[:, None]
+            grid = np.sqrt(np.einsum("ij,ij->j", out, out))
+            assert radius >= min(grid.max(), 1.0) - 1e-12, ch.label
+            # the grid falls short by up to ~1e-5 between its points, so its
+            # best direction is polished over the sphere's angles before comparing
+            x, y, z = dirs[:, grid.argmax()]
+
+            def neg_radius(angles):
+                st = np.sin(angles[0])
+                u = np.array([st * np.cos(angles[1]), st * np.sin(angles[1]), np.cos(angles[0])])
+                return -np.linalg.norm(aff.A @ u + aff.b)
+
+            res = minimize(
+                neg_radius,
+                [np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)],
+                method="Nelder-Mead",
+                options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 1000},
+            )
+            assert abs(radius - min(-res.fun, 1.0)) <= 1e-9, ch.label
 
 
 class TestDegradability:

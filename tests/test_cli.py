@@ -40,7 +40,28 @@ class TestCapacityVerb:
     def test_header_order_is_stable(self, capsys):
         _, out, _ = run(capsys, "capacity", "--kind", "identity")
         header = out.splitlines()[0]
-        assert header == "kind,param,chi,C_hsw,Q1,C_E,P1,r_star"
+        assert header == "kind,param,chi,C_hsw,Q1,Q1_raw,C_E,P1,r_star,S_min"
+
+    @pytest.mark.parametrize("measure,field", [("minent", "S_min"), ("qcap", "Q1_raw")])
+    def test_csv_row_carries_the_json_value(self, capsys, measure, field):
+        args = ("capacity", "--kind", "depolarizing", "--p", "0.2", "--measure", measure)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        (row,) = csv_rows(out)
+        _, out, _ = run(capsys, *args, "--format", "json")
+        (report,) = json.loads(out)
+        assert float(row[field]) == report[field]
+
+    @pytest.mark.parametrize("sweep", ["0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "0:1:nan"])
+    def test_non_finite_sweep_exits_two(self, capsys, sweep):
+        code, _, err = run(capsys, "capacity", "--kind", "depolarizing", "--sweep", sweep)
+        assert code == 2
+        assert "non-finite" in err
+        code, _, err = run(
+            capsys, "repeater-rate", "--segments", "2", "--l0", "20km", "--sweep", sweep
+        )
+        assert code == 2
+        assert "non-finite" in err
 
     def test_sweep_emits_one_row_per_point(self, capsys):
         code, out, _ = run(
@@ -279,6 +300,13 @@ class TestRepeaterRateVerb:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("l0", ["nan", "inf", "nankm"])
+    def test_non_finite_distance_exits_two(self, capsys, l0):
+        code, out, err = run(capsys, "repeater-rate", "--segments", "2", "--l0", l0)
+        assert code == 2
+        assert out == ""
+        assert "distance" in err
+
 
 class TestRepeaterSimVerb:
     def test_forced_symmetric_run(self, capsys):
@@ -388,3 +416,19 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_channel_inspect_leaves_scipy_optimize_unloaded():
+    """Inspecting a qubit channel finds its output radius in closed form, without scipy.optimize."""
+    env = dict(os.environ)
+    src = str(Path(qchan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import os, sys; from qchan.cli import main; "
+        "code = main(['channel-inspect', '--kind', 'amplitude_damping', '--gamma', '0.3', "
+        "'--out', os.devnull]); print(code, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"

@@ -25,7 +25,13 @@ from qchan import (
     von_neumann,
 )
 from qchan.entropy import _entropy_and_log2
-from qchan.errors import InfiniteDivergence, InvalidOrder, InvalidProbability
+from qchan.errors import (
+    InfiniteDivergence,
+    InvalidBlochVector,
+    InvalidOrder,
+    InvalidProbability,
+    InvalidState,
+)
 
 from conftest import random_bloch, random_density
 
@@ -79,6 +85,10 @@ class TestVonNeumann:
         joint = von_neumann(tensor_product(a, b))
         assert np.isclose(joint, von_neumann(a) + von_neumann(b), atol=1e-10)
 
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(InvalidState):
+            von_neumann([[math.nan, 0.0], [0.0, 1.0]])
+
 
 class TestRelativeEntropy:
     def test_zero_between_equal_states(self, rng):
@@ -120,6 +130,12 @@ class TestRelativeEntropyBloch:
 
     def test_pure_sigma_equal_to_rho_is_zero(self):
         assert relative_entropy_bloch([0, 0, 1.0], [0, 0, 1.0]) == 0.0
+
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(InvalidBlochVector):
+            relative_entropy_bloch([math.nan, 0, 0], [0, 0, 0.5])
+        with pytest.raises(InvalidBlochVector):
+            relative_entropy_bloch([0, 0, 0.5], [0, math.inf, 0])
 
 
 class TestHolevo:
@@ -204,6 +220,10 @@ class TestCoherentInformation:
         assert np.isclose(np.trace(env).real, 1.0, atol=1e-10)
         assert np.allclose(env, env.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(env)[0] >= -1e-10
+
+    def test_environment_state_rejects_non_finite_input(self):
+        with pytest.raises(InvalidState):
+            environment_state([[math.nan, 0.0], [0.0, 1.0]], make_channel("dephasing", p=0.3))
 
     def test_entropy_exchange_matches_environment_entropy(self, rng):
         rho = random_density(rng, 2)

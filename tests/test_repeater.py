@@ -264,6 +264,13 @@ class TestConfig:
         with pytest.raises(InvalidParameter):
             RepeaterConfig(L=0.0, segments=2, P0=0.1, eta=0.5, F0=0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_distance_and_speed(self, bad):
+        with pytest.raises(InvalidParameter):
+            RepeaterConfig(L=bad, segments=2, P0=0.1, eta=0.5, F0=0.9)
+        with pytest.raises(InvalidParameter):
+            RepeaterConfig(L=1000.0, segments=2, P0=0.1, eta=0.5, F0=0.9, c=bad)
+
     def test_json_round_trip(self):
         cfg = RepeaterConfig(L=160000.0, segments=8, P0=0.1, eta=0.5, F0=0.9)
         assert config_from_json(config_to_json(cfg)) == cfg
