@@ -23,6 +23,9 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
+    _check_prob,
+    _max_output_direction,
+    _reject_extra,
     _superoperator,
     affine_representation,
     complementary,
@@ -34,7 +37,6 @@ from .channels import (
 from .entropy import (
     _bloch_divergences,
     _bloch_negentropy,
-    _bloch_sigma_terms,
     _entropy_and_log2,
     binary_entropy,
 )
@@ -181,14 +183,8 @@ class _MultiStart:
 
 def _axis_ensemble_starts(m: int, rng: np.random.Generator, total: int):
     """Start points for m-member qubit ensembles: axis pairs, then random."""
-    axes = [
-        np.array([0.0, 0.0, 1.0]),
-        np.array([0.0, 0.0, -1.0]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([-1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([0.0, -1.0, 0.0]),
-    ]
+    axes = list(np.array(
+        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float))
     structured = [
         [axes[0], axes[1], axes[2], axes[3]],
         [axes[0], axes[1], axes[4], axes[5]],
@@ -274,12 +270,9 @@ def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
             ms.iterations += int(res.nit)
 
     us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
-    chi = _clamp_zero(-ms.best_val)
     keep = w > 1e-4
-    w_kept = w[keep] / w[keep].sum()
-    states = [from_bloch(u) for u in us[keep]]
-    ensemble = Ensemble(w_kept, states)
-    return chi, ensemble, ms.stats()
+    ensemble = Ensemble(w[keep] / w[keep].sum(), [from_bloch(u) for u in us[keep]])
+    return _clamp_zero(-ms.best_val), ensemble, ms.stats()
 
 
 def _basis_ensemble_starts(d: int, m: int, rng: np.random.Generator, total: int):
@@ -354,15 +347,9 @@ def _hsw_general(channel: QuantumChannel, cfg: OptimizerConfig):
     starts = _basis_ensemble_starts(d, m, rng, cfg.restarts)
     ms = _MultiStart(cfg).run(neg_chi, starts, options=opts, jac=True)
     psi, w, _, _ = _unpack_vector_ensemble(ms.best_x, m, d)
-    chi = _clamp_zero(-ms.best_val)
     keep = w > 1e-4
-    w_kept = w[keep] / w[keep].sum()
-    ensemble = Ensemble(w_kept, [_pure_density(amp) for amp in psi[keep]])
-    return chi, ensemble, ms.stats()
-
-
-def _pure_density(amp: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(np.outer(amp, amp.conj()), repair=True)
+    states = [DensityMatrix(np.outer(amp, amp.conj()), repair=True) for amp in psi[keep]]
+    return _clamp_zero(-ms.best_val), Ensemble(w[keep] / w[keep].sum(), states), ms.stats()
 
 
 def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) -> CapacityReport:
@@ -397,144 +384,230 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
-def _angles_to_unit(theta: float, phi: float) -> np.ndarray:
-    s = math.sin(theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(theta)])
+def _log_map(x: np.ndarray):
+    """(c1, c2) with L(x) = c1 x and dL/dx = c1 I + c2 x x^T, per qubit Bloch vector x.
+
+    L(x) = atanh|x| x/|x| is the natural parameter t of the state x (its log
+    is t.pauli - log(2 cosh|t|) I), so D(p || s) = 1 - S(p) - log2(1 - |s|^2)/2
+    - p.L(s)/ln 2 has gradients (L(p) - L(s))/ln 2 in p and (s - p)/ln 2 in
+    t = L(s). Radii are clipped at _SLOPE_RADIUS: pure states stay finite.
+    """
+    rad = np.minimum(np.linalg.norm(x, axis=-1), _SLOPE_RADIUS)
+    r = np.where(rad < 1e-8, 1.0, rad)
+    c1 = np.where(rad < 1e-8, 1.0, np.arctanh(r) / r)
+    return c1, np.where(rad < 1e-8, 2.0 / 3.0, (1.0 / (1.0 - r * r) - c1) / (r * r))
 
 
-def _xlog2(x: float) -> float:
-    return x * math.log2(x) if x > 0.0 else 0.0
+def _from_natural(t: np.ndarray) -> np.ndarray:
+    """The Bloch vector tanh|t| t/|t| of natural parameter t (the inverse of L)."""
+    tau = math.sqrt(float(t @ t))
+    return t * (math.tanh(tau) / tau if tau > 0.0 else 1.0)
 
 
-def _surface_divergence(aff, sigma: np.ndarray) -> Callable:
-    """-D(A u(theta, phi) + b || sigma) as scalar math over the two angles."""
-    direction, log_term, half_log_ratio = _bloch_sigma_terms(sigma)
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = aff.A.tolist()
-    b0, b1, b2 = aff.b.tolist()
-    c0, c1, c2 = (aff.A.T @ direction).tolist()
-    c_b = float(aff.b @ direction)
+def _surface_terms(aff, us: np.ndarray, s: np.ndarray):
+    """(p, d, E, AE, g, H) of f(u) = D(A u + b || s) at unit inputs us (k, 3).
 
-    def neg_div(angles):
-        theta, phi = float(angles[0]), float(angles[1])
-        st = math.sin(theta)
-        u0, u1, u2 = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
-        s0 = a00 * u0 + a01 * u1 + a02 * u2 + b0
-        s1 = a10 * u0 + a11 * u1 + a12 * u2 + b1
-        s2 = a20 * u0 + a21 * u1 + a22 * u2 + b2
-        r = min(math.sqrt(s0 * s0 + s1 * s1 + s2 * s2), 1.0)
-        negentropy = 0.5 * (_xlog2(1.0 + r) + _xlog2(1.0 - r))
-        along = c0 * u0 + c1 * u1 + c2 * u2 + c_b
-        return -((negentropy - log_term) - along * half_log_ratio)
+    Outputs p, divergences d, tangent frames E (k, 3, 2), AE = A E, and the
+    gradient g = AE^T q and Hessian H = AE^T K(p) AE / ln 2 - (u . A^T q) I
+    of f on the sphere, with q = (L(p) - L(s)) / ln 2 and K = dL/dx.
+    """
+    p = us @ aff.A.T + aff.b
+    c1, c2 = _log_map(p)
+    q = (c1[:, None] * p - _log_map(s)[0] * s) / _LN2
+    seed = np.where(np.abs(us[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    e1 = seed - (seed * us).sum(axis=1)[:, None] * us
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    frames = np.stack((e1, np.cross(us, e1)), axis=2)
+    ae = aff.A @ frames
+    pa = np.einsum("kx,kxa->ka", p, ae)
+    h = c1[:, None, None] * np.einsum("kxa,kxb->kab", ae, ae)
+    h = (h + c2[:, None, None] * pa[:, :, None] * pa[:, None, :]) / _LN2
+    h -= ((p - aff.b) * q).sum(axis=1)[:, None, None] * np.eye(2)
+    d = _bloch_divergences(p, _bloch_negentropy(np.linalg.norm(p, axis=1)), s)
+    return p, d, frames, ae, np.einsum("kxa,kx->ka", ae, q), h
 
-    return neg_div
+
+def _retract(us: np.ndarray, frames: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Unit vectors moved along tangent steps (k, 2) of at most 0.2 rad."""
+    steps = steps / np.maximum(np.linalg.norm(steps, axis=1) / 0.2, 1.0)[:, None]
+    moved = us + np.einsum("kxa,ka->kx", frames, steps)
+    return moved / np.linalg.norm(moved, axis=1)[:, None]
+
+
+def _polish_maxima(aff, us: np.ndarray, s: np.ndarray):
+    """Climb from each input to a local maximum of D(A u + b || s): (us, d, evaluations).
+
+    Newton steps on H shifted until negative definite (a flat ring of maxima
+    stays flat), kept only where D rises; a rejected step cuts that input's
+    trust radius tenfold.
+    """
+    trust = np.full(len(us), 0.5)
+    _, d, frames, _, g, h = _surface_terms(aff, us, s)
+    evaluations = 1
+    while evaluations <= 30:
+        lam = np.linalg.eigvalsh(h)
+        shift = np.maximum(lam[:, -1] + 1e-3 * np.maximum(np.abs(lam).max(axis=1), 1e-6), 0.0)
+        steps = -np.linalg.solve(h - shift[:, None, None] * np.eye(2), g[:, :, None])[:, :, 0]
+        steps *= np.minimum(1.0, trust / np.maximum(np.linalg.norm(steps, axis=1), _TINY))[:, None]
+        gain = (g * steps).sum(axis=1) + 0.5 * np.einsum("ka,kab,kb->k", steps, h, steps)
+        if np.all((gain < 1e-13) | (trust < 1e-8)):
+            break
+        trial = _retract(us, frames, steps)
+        _, t_d, t_frames, _, t_g, t_h = _surface_terms(aff, trial, s)
+        evaluations += 1
+        up = t_d > d
+        trust = np.where(up, trust, 0.1 * trust)
+        up1, up2 = up[:, None], up[:, None, None]
+        d, us, g = np.where(up, t_d, d), np.where(up1, trial, us), np.where(up1, t_g, g)
+        frames, h = np.where(up2, t_frames, frames), np.where(up2, t_h, h)
+    return us, d, evaluations
+
+
+def _kkt_residual(aff, us: np.ndarray, w: np.ndarray, t: np.ndarray, r: float):
+    """(residual, Jacobian, frames, free mask) of the KKT system of min_sigma max_u D.
+
+    sigma has natural parameter t and Bloch vector s. Rows: D(p_i || s) - r
+    per active input, sum(w) - 1, s - sum_i w_i p_i, and the gradient g_i of
+    each free input (one whose output is not pure). Columns: a tangent step
+    per free input, t, w, r.
+    """
+    s = _from_natural(t)
+    p, d, frames, ae, g, h = _surface_terms(aff, us, s)
+    free = np.linalg.norm(p, axis=1) < 1.0 - 1e-12
+    k, nf = len(us), int(free.sum())
+    c1, c2 = _log_map(s)
+    cols = 2 * np.arange(nf)[:, None] + [0, 1]  # the step columns of each free input
+    ts, ws = slice(2 * nf, 2 * nf + 3), slice(2 * nf + 3, -1)
+    jac = np.zeros((k + 4 + 2 * nf, 2 * nf + 4 + k))
+    jac[np.flatnonzero(free)[:, None], cols] = g[free]
+    jac[:k, ts], jac[:k, -1], jac[k, ws] = (s - p) / _LN2, -1.0, 1.0
+    jac[k + 1 : k + 4, : 2 * nf] = -np.einsum("i,ixa->xia", w[free], ae[free]).reshape(3, -1)
+    jac[k + 1 : k + 4, ts] = np.linalg.inv(c1 * np.eye(3) + c2 * np.outer(s, s))
+    jac[k + 1 : k + 4, ws] = -p.T
+    jac[(k + 4 + cols)[:, :, None], cols[:, None, :]] = h[free]
+    jac[k + 4 :, ts] = -ae[free].transpose(0, 2, 1).reshape(-1, 3) / _LN2
+    res = np.concatenate((d - r, [w.sum() - 1.0], s - w @ p, g[free].reshape(-1)))
+    return res, jac, frames, free
+
+
+def _kkt_newton(aff, us: np.ndarray, w: np.ndarray, t: np.ndarray):
+    """Newton's method on the KKT system: (inputs, weights, converged, evaluations).
+
+    A step that would take a weight to 0 stops there and that input leaves
+    (with 2 inputs left it stops halfway). An input with a pure output keeps
+    its direction, because the entropy slope is infinite there.
+    """
+    res, jac, frames, free = _kkt_residual(aff, us, w, t, 0.0)
+    r = float(w @ res[: len(w)])
+    res[: len(w)] -= r
+    for evaluations in range(1, 41):
+        if np.abs(res).max() < 1e-12:
+            return us, w, True, evaluations
+        step = np.linalg.lstsq(jac, -res, rcond=1e-10)[0]
+        nf = int(free.sum())
+        d_w, scale, keep = step[2 * nf + 3 : -1], 1.0, np.ones(len(w), dtype=bool)
+        if np.any(w + d_w <= 0.0):
+            ratios = np.where(w + d_w <= 0.0, w / np.maximum(-d_w, _TINY), math.inf)
+            keep[int(np.argmin(ratios))] = len(w) == 2
+            scale = float(ratios.min()) * (0.5 if len(w) == 2 else 1.0)
+        us = us.copy()
+        us[free] = _retract(us[free], frames[free], scale * step[: 2 * nf].reshape(nf, 2))
+        w = np.maximum(w + scale * d_w, 0.0)[keep]
+        us, w, r = us[keep], w / w.sum(), r + scale * step[-1]
+        t = t + scale * step[2 * nf : 2 * nf + 3]
+        res, jac, frames, free = _kkt_residual(aff, us, w, t, r)
+    return us, w, bool(np.abs(res).max() < 1e-12), evaluations + 1
+
+
+def _spread_picks(dirs: np.ndarray, vals: np.ndarray, floor: float, limit: int) -> np.ndarray:
+    """Up to limit inputs with vals >= floor, 0.35 rad apart: the best, then farthest-first."""
+    cand = np.flatnonzero(vals >= floor)
+    picked = [int(cand[np.argmax(vals[cand])])]
+    closest = dirs[cand] @ dirs[picked[0]]
+    while len(picked) < limit and closest.min() < math.cos(0.35):
+        picked.append(int(cand[np.argmin(closest)]))
+        closest = np.maximum(closest, dirs[cand] @ dirs[picked[-1]])
+    return np.array(picked)
 
 
 def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) -> CapacityReport:
-    """Informational radius r* of a qubit channel.
+    """Divergence radius r* = min_sigma max_rho D(N(rho) || sigma) of a qubit channel.
 
-    Finds min over states sigma of the max relative entropy from the
-    channel's output ellipsoid to sigma; that radius equals the HSW
-    capacity. Works entirely in Bloch coordinates and never calls the
-    ensemble optimizer, so it is an independent cross-check of
-    hsw_numeric. The optimal sigma is certified as a convex mixture of
-    the divergence maximizers with equal divergences. optimizer.converged
-    ANDs the success flags of the outer sigma runs and of the polishes
-    whose point entered the support.
+    r* equals the HSW capacity (Schumacher & Westmoreland, quant-ph/9912122);
+    this route never calls the ensemble optimizer, so it cross-checks
+    hsw_numeric. Unital and constant channels: the inputs +-v along a top
+    singular vector of A average to sigma*, so r* = 1 - S(|A|_2), exactly.
+
+    Otherwise one L-BFGS-B run minimizes a smoothed max of D over 2,048 grid
+    outputs and the output of largest radius. Its softmax mass at up to 4
+    spread inputs seeds Newton's method on the KKT system: equal divergences
+    at the active inputs, sigma = sum_i w_i p_i, each input stationary on the
+    sphere. chi = sum_i w_i D(p_i || sigma) is the Holevo quantity of that
+    ensemble; r* is the max of D(. || sigma) over polished grid maxima. The
+    duality gap r* - chi is achieved_tolerance, noted above 1e-6.
+    optimizer.converged ANDs the L-BFGS-B flag and Newton's. The route has no
+    knobs: cfg is accepted for the common solver signature and ignored.
     """
-    from scipy.optimize import minimize, nnls
-
-    cfg = cfg or DEFAULT_CONFIG
     if channel.dim_in != 2 or channel.dim_out != 2:
         raise Unsupported("geometric solver handles qubit channels")
     _require_solvable(channel)
     aff = affine_representation(channel)
-    dirs = _fibonacci_directions(2048)
-    points = dirs @ aff.A.T + aff.b
     notes = ["single-letter value; lower bound on the regularized capacity"]
-
-    if np.ptp(points, axis=0).max() < 1e-12:
+    if is_unital(channel) or np.abs(aff.A).max() < 1e-12:
+        v = np.linalg.svd(aff.A)[2][0]
         return CapacityReport(
             channel_label=channel.label,
-            r_star=0.0,
+            r_star=float(_bloch_negentropy(np.linalg.norm(aff.A, 2))),
             optimizer=OptimizerStats(0, 0, 0.0),
-            notes=tuple(notes + ["constant-output channel"]),
+            optimal_ensemble=Ensemble([0.5, 0.5], [from_bloch(v), from_bloch(-v)]),
+            notes=tuple(notes),
         )
+    from scipy.optimize import minimize
 
-    # 1 - S(point) does not depend on sigma: computed once per support point
-    points_negentropy = _bloch_negentropy(np.linalg.norm(points, axis=1))
-    support, negentropy = points, points_negentropy
-    iterations = 0
-    evaluations = 0
-    converged = True
+    # the grid plus the input of largest output radius, so that a pure output is a candidate
+    dirs = np.vstack((_fibonacci_directions(2048), _max_output_direction(aff)))
+    points = dirs @ aff.A.T + aff.b
+    negentropy = _bloch_negentropy(np.linalg.norm(points, axis=1))
+    t = _log_map(aff.b)[0] * aff.b  # sigma = b, the output of I/2
+    # the spread of D over the grid sets the smoothing, every threshold and
+    # the units of the coarse search: x = t / scale, value (F - top) / scale
+    d0 = _bloch_divergences(points, negentropy, _from_natural(t))
+    top, scale = float(d0.max()), float(np.ptp(d0))
+    beta = 2000.0 / scale
 
-    def outer(sig):
-        if math.sqrt(float(sig @ sig)) >= 1.0 - 1e-9:
-            return math.inf
-        return float(_bloch_divergences(support, negentropy, sig).max())
+    def smoothed_max(x):
+        s = _from_natural(scale * x)
+        d = _bloch_divergences(points, negentropy, s)
+        e = np.exp(beta * (d - d.max()))
+        value = (float(d.max()) + math.log(float(e.sum())) / beta - top) / scale
+        return value, (s - (e / e.sum()) @ points) / _LN2
 
-    sigma = points.mean(axis=0)
-    for _ in range(4):
-        res = minimize(
-            outer,
-            sigma,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 1200},
-        )
-        iterations += int(res.nit)
-        evaluations += int(res.nfev)
-        converged = converged and bool(res.success)
-        sigma = np.asarray(res.x, dtype=float)
-        # polish the inner maximum over the output ellipsoid surface
-        vals = _bloch_divergences(points, points_negentropy, sigma)
-        order = np.argsort(vals)[::-1]
-        new_points = []
-        best_polished = float(vals[order[0]])
-        neg_div = _surface_divergence(aff, sigma)
-
-        for idx in order[:8]:
-            u0 = dirs[idx]
-            theta = math.acos(max(-1.0, min(1.0, u0[2])))
-            phi = math.atan2(u0[1], u0[0])
-            pol = minimize(
-                neg_div,
-                np.array([theta, phi]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 500},
-            )
-            iterations += int(pol.nit)
-            evaluations += int(pol.nfev)
-            val = -float(pol.fun)
-            if val > best_polished + 1e-12:
-                converged = converged and bool(pol.success)
-                new_points.append(aff(_angles_to_unit(*pol.x)))
-                best_polished = max(best_polished, val)
-        if not new_points:
-            break
-        new_points = np.array(new_points)
-        support = np.vstack([support, new_points])
-        negentropy = np.concatenate(
-            [negentropy, _bloch_negentropy(np.linalg.norm(new_points, axis=1))]
-        )
-
-    vals = _bloch_divergences(support, negentropy, sigma)
-    r_star = float(vals.max())
-
-    # certificate: sigma must be a convex mixture of the maximizers,
-    # all of which sit at the same divergence
-    maximizers = support[vals >= r_star - 1e-6]
-    a_aug = np.vstack([maximizers.T, np.ones(len(maximizers))])
-    b_aug = np.concatenate([sigma, [1.0]])
-    weights, _ = nnls(a_aug, b_aug)
-    cert_residual = float(np.linalg.norm(a_aug @ weights - b_aug))
-    if cert_residual > 1e-3:
-        notes.append(f"certificate residual {cert_residual:.2e} above 1e-3")
-    if is_unital(channel) and float(np.linalg.norm(sigma)) > 1e-4:
-        notes.append("unital channel but optimal sigma is off-center")
-
+    res = minimize(smoothed_max, t / scale, method="L-BFGS-B", jac=True)
+    t = scale * res.x
+    vals = _bloch_divergences(points, negentropy, _from_natural(t))
+    mass = np.exp(beta * (vals - vals.max()))
+    picked = _spread_picks(dirs, mass, 1e-3, 4)
+    w = np.bincount(np.argmax(dirs @ dirs[picked].T, axis=1), weights=mass, minlength=len(picked))
+    us, _, polished = _polish_maxima(aff, dirs[picked], _from_natural(t))
+    us, w, newton_ok, steps = _kkt_newton(aff, us, w / w.sum(), t)
+    # chi and r* are both taken at the ensemble's own average output
+    p = us @ aff.A.T + aff.b
+    s = w @ p
+    chi = float(w @ _bloch_divergences(p, _bloch_negentropy(np.linalg.norm(p, axis=1)), s))
+    vals = _bloch_divergences(points, negentropy, s)
+    seeds = dirs[_spread_picks(dirs, vals, float(vals.max()) - 0.05 * scale, 8)]
+    _, top_vals, final = _polish_maxima(aff, seeds, s)
+    r_star = max(float(top_vals.max()), chi)
+    gap = _clamp_zero(r_star - chi)
+    if gap > 1e-6:
+        notes.append(f"duality gap r* - chi = {gap:.2e} above 1e-6")
+    evaluations = int(res.nfev) + polished + steps + final
+    converged = bool(res.success) and newton_ok
     return CapacityReport(
         channel_label=channel.label,
         r_star=r_star,
-        optimizer=OptimizerStats(iterations, 1, cert_residual, evaluations, converged),
+        optimizer=OptimizerStats(int(res.nit) + steps, 1, gap, evaluations, converged),
+        optimal_ensemble=Ensemble(w, [from_bloch(u) for u in us]),
         notes=tuple(notes),
     )
 
@@ -703,50 +776,19 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     values are reported with the raw (unclamped) optimum in Q1_raw.
     """
 
-    def prob(name):
-        v = float(params.pop(name))
-        if not 0.0 <= v <= 1.0:
-            raise InvalidParameter(f"{name} = {v} outside [0, 1]")
-        return v
-
-    if kind == "erasure":
-        p = prob("p")
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        logd = math.log2(d)
-        raw = (1.0 - 2.0 * p) * logd
-        return CapacityReport(
-            channel_label=f"analytic:erasure(p={p:g},d={d})",
-            chi=(1.0 - p) * logd,
-            C_hsw=(1.0 - p) * logd,
-            Q1=_clamp_zero(raw),
-            Q1_raw=raw,
-            notes=("closed form",),
-        )
-    if kind == "phase_erasure":
-        q = prob("q")
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        logd = math.log2(d)
-        return CapacityReport(
-            channel_label=f"analytic:phase_erasure(q={q:g},d={d})",
-            chi=logd,
-            C_hsw=logd,
-            Q1=(1.0 - q) * logd,
-            Q1_raw=(1.0 - q) * logd,
-            notes=("closed form",),
-        )
-    if kind == "mixed_erasure":
-        p = prob("p")
-        q = prob("q")
+    if kind in ("erasure", "phase_erasure", "mixed_erasure"):
+        shown = {"erasure": ("p",), "phase_erasure": ("q",), "mixed_erasure": ("p", "q")}[kind]
+        given = {name: _check_prob(name, params.pop(name)) for name in shown}
+        p, q = given.get("p", 0.0), given.get("q", 0.0)
         d = int(params.pop("d", 2))
         _reject_extra(params)
         if p + q > 1.0 + 1e-12:
             raise InvalidParameter(f"p + q = {p + q:g} exceeds 1")
         logd = math.log2(d)
         raw = (1.0 - q - 2.0 * p) * logd
+        label = ",".join(f"{name}={v:g}" for name, v in given.items())
         return CapacityReport(
-            channel_label=f"analytic:mixed_erasure(p={p:g},q={q:g},d={d})",
+            channel_label=f"analytic:{kind}({label},d={d})",
             chi=(1.0 - p) * logd,
             C_hsw=(1.0 - p) * logd,
             Q1=_clamp_zero(raw),
@@ -756,7 +798,8 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     if kind == "amplitude_damping":
         from scipy.optimize import minimize_scalar
 
-        gamma = prob("gamma") if "gamma" in params else 1.0 - prob("p")
+        gamma = _check_prob("gamma", params.pop("gamma")) if "gamma" in params else (
+            1.0 - _check_prob("p", params.pop("p")))
         _reject_extra(params)
 
         def neg_q(tau):
@@ -778,7 +821,7 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             notes=("closed form; maximized over the population parameter",),
         )
     if kind == "depolarizing":
-        p = prob("p")
+        p = _check_prob("p", params.pop("p"))
         _reject_extra(params)
         c = 1.0 - float(binary_entropy(p / 2.0))
         return CapacityReport(
@@ -788,7 +831,7 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             notes=("closed form",),
         )
     if kind == "bsc":
-        p = prob("p")
+        p = _check_prob("p", params.pop("p"))
         _reject_extra(params)
         return CapacityReport(
             channel_label=f"analytic:bsc(p={p:g})",
@@ -797,11 +840,6 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             notes=("classical binary symmetric channel",),
         )
     raise Unsupported(f"no closed form for kind {kind!r}")
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise InvalidParameter(f"unexpected parameters {sorted(params)}")
 
 
 def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> CapacityReport:

@@ -201,6 +201,23 @@ def _check_prob(name: str, value: float) -> float:
     return value
 
 
+# flag qubit states |0> and |1> as columns, for the erasure-type channels
+_FLAG0, _FLAG1 = np.eye(2, dtype=complex)[:, :1], np.eye(2, dtype=complex)[:, 1:]
+
+
+def _reject_extra(params: dict) -> None:
+    if params:
+        raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+
+
+def _erasure_ops(p: float, d: int) -> list:
+    """sqrt(p) |e><k| for k < d: each input level goes to the erasure flag e = d."""
+    ops = [np.zeros((d + 1, d), dtype=complex) for _ in range(d)]
+    for k, op in enumerate(ops):
+        op[d, k] = np.sqrt(p)
+    return ops
+
+
 def _embed(d: int) -> np.ndarray:
     """Isometry C^d -> C^(d+1) onto the first d levels."""
     v = np.zeros((d + 1, d), dtype=complex)
@@ -228,8 +245,7 @@ def make_channel(kind: str, **params) -> QuantumChannel:
     """
     if kind == "identity":
         d = int(params.pop("d", 2))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         if d < 1:
             raise InvalidParameter(f"d = {d} must be positive")
         return QuantumChannel(
@@ -238,8 +254,7 @@ def make_channel(kind: str, **params) -> QuantumChannel:
 
     if kind in ("bit_flip", "phase_flip", "bit_phase_flip", "dephasing"):
         p = _check_prob("p", params.pop("p"))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         pauli = {
             "bit_flip": PAULI_X,
             "phase_flip": PAULI_Z,
@@ -253,8 +268,7 @@ def make_channel(kind: str, **params) -> QuantumChannel:
 
     if kind == "depolarizing":
         p = _check_prob("p", params.pop("p"))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         ops = [
             np.sqrt(1.0 - 0.75 * p) * PAULI_I,
             np.sqrt(0.25 * p) * PAULI_X,
@@ -272,8 +286,7 @@ def make_channel(kind: str, **params) -> QuantumChannel:
             p = 1.0 - _check_prob("gamma", params.pop("gamma"))
         else:
             p = _check_prob("p", params.pop("p"))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         a1 = np.array([[np.sqrt(p), 0.0], [0.0, 1.0]], dtype=complex)
         a2 = np.array([[0.0, 0.0], [np.sqrt(1.0 - p), 0.0]], dtype=complex)
         return QuantumChannel(
@@ -283,16 +296,11 @@ def make_channel(kind: str, **params) -> QuantumChannel:
     if kind == "erasure":
         p = _check_prob("p", params.pop("p"))
         d = int(params.pop("d", 2))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         if d < 2:
             raise InvalidParameter(f"d = {d} must be at least 2")
         v = _embed(d)
-        ops = [np.sqrt(1.0 - p) * v]
-        for k in range(d):
-            op = np.zeros((d + 1, d), dtype=complex)
-            op[d, k] = np.sqrt(p)
-            ops.append(op)
+        ops = [np.sqrt(1.0 - p) * v] + _erasure_ops(p, d)
         return QuantumChannel(
             ops, d, d + 1, label=f"erasure(p={p:g},d={d})", kind=kind, params={"p": p, "d": d}
         )
@@ -300,16 +308,13 @@ def make_channel(kind: str, **params) -> QuantumChannel:
     if kind == "phase_erasure":
         q = _check_prob("q", params.pop("q"))
         d = int(params.pop("d", 2))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         if d != 2:
             raise Unsupported("phase_erasure is defined for qubits only")
-        flag0 = np.array([[1.0], [0.0]], dtype=complex)
-        flag1 = np.array([[0.0], [1.0]], dtype=complex)
         ops = [
-            np.sqrt(1.0 - q) * np.kron(PAULI_I, flag0),
-            np.sqrt(q / 2.0) * np.kron(PAULI_I, flag1),
-            np.sqrt(q / 2.0) * np.kron(PAULI_Z, flag1),
+            np.sqrt(1.0 - q) * np.kron(PAULI_I, _FLAG0),
+            np.sqrt(q / 2.0) * np.kron(PAULI_I, _FLAG1),
+            np.sqrt(q / 2.0) * np.kron(PAULI_Z, _FLAG1),
         ]
         return QuantumChannel(
             ops, 2, 4, label=f"phase_erasure(q={q:g})", kind=kind, params={"q": q, "d": 2}
@@ -319,22 +324,16 @@ def make_channel(kind: str, **params) -> QuantumChannel:
         p = _check_prob("p", params.pop("p"))
         q = _check_prob("q", params.pop("q"))
         d = int(params.pop("d", 2))
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         if d != 2:
             raise Unsupported("mixed_erasure is defined for qubits only")
         if p + q > 1.0 + 1e-12:
             raise InvalidParameter(f"p + q = {p + q:g} exceeds 1")
         v = _embed(d)
-        flag0 = np.array([[1.0], [0.0]], dtype=complex)
-        flag1 = np.array([[0.0], [1.0]], dtype=complex)
-        ops = [np.sqrt(max(1.0 - p - q, 0.0)) * np.kron(v, flag0)]
-        ops.append(np.sqrt(q / 2.0) * np.kron(v, flag1))
-        ops.append(np.sqrt(q / 2.0) * np.kron(v @ PAULI_Z, flag1))
-        for k in range(d):
-            op = np.zeros((d + 1, d), dtype=complex)
-            op[d, k] = np.sqrt(p)
-            ops.append(np.kron(op, flag0))
+        ops = [np.sqrt(max(1.0 - p - q, 0.0)) * np.kron(v, _FLAG0)]
+        ops.append(np.sqrt(q / 2.0) * np.kron(v, _FLAG1))
+        ops.append(np.sqrt(q / 2.0) * np.kron(v @ PAULI_Z, _FLAG1))
+        ops += [np.kron(op, _FLAG0) for op in _erasure_ops(p, d)]
         return QuantumChannel(
             ops,
             d,
@@ -345,8 +344,7 @@ def make_channel(kind: str, **params) -> QuantumChannel:
         )
 
     if kind == "measure_prepare":
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
         return QuantumChannel(
@@ -354,8 +352,7 @@ def make_channel(kind: str, **params) -> QuantumChannel:
         )
 
     if kind == "pancake":
-        if params:
-            raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+        _reject_extra(params)
         aff = AffineMap(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
         return QuantumChannel(
             None, 2, 2, label="pancake", kind=kind, params={}, affine=aff
@@ -432,6 +429,12 @@ def choi(channel: QuantumChannel) -> ChoiMatrix:
     return ChoiMatrix(c / 4.0, 2, 2)
 
 
+def _choi_trace_residual(c: np.ndarray, d_in: int, d_out: int) -> float:
+    """max |d_in Tr_out C - I|: zero when the map with Choi state C preserves trace."""
+    reduced = np.trace(c.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3) * d_in
+    return float(np.max(np.abs(reduced - np.eye(d_in))))
+
+
 def is_cptp(channel: QuantumChannel) -> CptpReport:
     """Trace preservation and complete positivity with diagnostics."""
     c = choi(channel)
@@ -439,10 +442,7 @@ def is_cptp(channel: QuantumChannel) -> CptpReport:
     if channel.kraus is not None:
         residual = completeness_residual(channel.kraus)
     else:
-        # partial trace of the Choi state over the output leg
-        t = c.matrix.reshape(d_in, channel.dim_out, d_in, channel.dim_out)
-        reduced = np.trace(t, axis1=1, axis2=3) * d_in
-        residual = float(np.max(np.abs(reduced - np.eye(d_in))))
+        residual = _choi_trace_residual(c.matrix, d_in, channel.dim_out)
     min_eig = c.min_eigenvalue
     return CptpReport(
         trace_preserving=residual <= COMPLETENESS_TOL,
@@ -559,7 +559,12 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 
 def _max_output_radius(aff: AffineMap) -> float:
-    """max_u |A u + b| over the unit sphere, exactly.
+    """max_u |A u + b| over the unit sphere, exactly."""
+    return min(float(np.linalg.norm(aff(_max_output_direction(aff)))), 1.0)
+
+
+def _max_output_direction(aff: AffineMap) -> np.ndarray:
+    """The unit input u that maximizes |A u + b|.
 
     With M = A^T A = V diag(mu) V^T and g = V^T A^T b, the maximizer is
     u = V y with y_i = g_i / (s + mu_max - mu_i), where s >= 0 is the root of
@@ -589,8 +594,7 @@ def _max_output_radius(aff: AffineMap) -> float:
     # dropping t costs only mu_max t^4 of |A u + b|^2
     if fill > 1e-8:
         y[-1] = math.sqrt(fill)
-    u = vecs @ (y / np.linalg.norm(y))
-    return min(float(np.linalg.norm(a @ u + b)), 1.0)
+    return vecs @ (y / np.linalg.norm(y))
 
 
 def _pure_output_entropy(kraus, d: int):
@@ -695,29 +699,18 @@ def is_degradable(channel: QuantumChannel, cond_limit: float = 1e12) -> Degradab
         return DegradabilityReport(status, None, cond, residual)
 
     choi_d = _choi_from_superop(d_mat, d_out, n_env)
-    eig_min = float(np.linalg.eigvalsh((choi_d + choi_d.conj().T) / 2.0)[0])
-    t = choi_d.reshape(d_out, n_env, d_out, n_env)
-    reduced = np.trace(t, axis1=1, axis2=3) * d_out
-    tp_residual = float(np.max(np.abs(reduced - np.eye(d_out))))
-    tol = max(1e-9, cond * 1e-13)
-    if eig_min < -tol or tp_residual > max(1e-7, tol):
+    w, v = np.linalg.eigh((choi_d + choi_d.conj().T) / 2.0)
+    tp_residual = _choi_trace_residual(choi_d, d_out, n_env)
+    if w[0] < -solve_tol or tp_residual > max(1e-7, solve_tol):
         return DegradabilityReport("not_degradable", None, cond, residual)
 
-    w, v = np.linalg.eigh((choi_d + choi_d.conj().T) / 2.0)
-    ops = []
-    for idx in range(w.size):
-        if w[idx] <= 1e-12:
-            continue
-        vec = v[:, idx].reshape(d_out, n_env)
-        ops.append(math.sqrt(float(w[idx]) * d_out) * vec.T)
-    degrading = QuantumChannel(
-        ops,
-        d_out,
-        n_env,
-        label=f"degrading({channel.label})",
-        kind="degrading",
-        trace_preserving=False,
-    )
+    ops = [
+        math.sqrt(float(w[i]) * d_out) * v[:, i].reshape(d_out, n_env).T
+        for i in range(w.size)
+        if w[i] > 1e-12
+    ]
+    label = f"degrading({channel.label})"
+    degrading = QuantumChannel(ops, d_out, n_env, label, kind="degrading", trace_preserving=False)
     return DegradabilityReport("degradable", degrading, cond, residual)
 
 

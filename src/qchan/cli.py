@@ -44,6 +44,8 @@ ZERO_ERROR_COLUMNS = ("graph", "n", "K", "rate", "witness")
 SIM_COLUMNS = ("trial", "seed", "outcome", "rounds", "raw_pairs", "final_fidelity")
 
 _SWEEP_PARAM = {"amplitude_damping": "gamma", "phase_erasure": "q"}
+# Most points a --sweep may ask for
+SWEEP_LIMIT = 10_000
 
 
 def _parse_distance(text: str) -> float:
@@ -57,6 +59,7 @@ def _parse_distance(text: str) -> float:
 
 
 def _parse_sweep(text: str) -> List[float]:
+    """start, start + step, ... up to end; more than SWEEP_LIMIT points are refused up front."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameter(f"sweep {text!r} must look like start:end:step")
@@ -67,15 +70,12 @@ def _parse_sweep(text: str) -> List[float]:
         raise InvalidParameter(f"sweep step {step} must be positive")
     if start > end:
         raise InvalidParameter(f"sweep start {start} exceeds end {end}")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > end + 1e-9 * step:
-            break
-        values.append(round(v, 12))
-        k += 1
-    return values
+    count = (end - start) / step + 1.0
+    if count > SWEEP_LIMIT + 0.5:
+        raise InvalidParameter(f"sweep {text!r} has {count:.6g} points, over {SWEEP_LIMIT}")
+    # rounding may put the last point on either side of the quotient's floor
+    values = (start + k * step for k in range(int(count) + 1))
+    return [round(v, 12) for v in values if v <= end + 1e-9 * step]
 
 
 def _csv_text(columns, rows) -> str:
@@ -100,12 +100,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _channel_params(args) -> dict:
-    params = {}
-    for name in ("p", "gamma", "q", "d"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return params
+    values = {name: getattr(args, name, None) for name in ("p", "gamma", "q", "d")}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _build_channel(args) -> ch.QuantumChannel:
@@ -280,15 +276,10 @@ def _repeater_config(args, p0: float) -> rep.RepeaterConfig:
 
 
 def _cmd_repeater_rate(args) -> str:
-    values = _parse_sweep(args.sweep) if args.sweep else [args.p0]
-    rows = []
     dicts = []
-    for p0 in values:
+    for p0 in _parse_sweep(args.sweep) if args.sweep else [args.p0]:
         cfg = _repeater_config(args, p0)
         report = rep.generation_rate(cfg)
-        rows.append(
-            (cfg.F0, cfg.P0, cfg.levels, report.Z_n, report.R_n, report.R_n_approx)
-        )
         dicts.append(
             {
                 "F0": cfg.F0,
@@ -302,37 +293,29 @@ def _cmd_repeater_rate(args) -> str:
         )
     if args.format == "json":
         return _json_text(dicts)
-    return _csv_text(RATE_COLUMNS, rows)
+    return _csv_text(RATE_COLUMNS, [[row[name] for name in RATE_COLUMNS] for row in dicts])
 
 
 def _cmd_repeater_sim(args) -> str:
     cfg = _repeater_config(args, args.p0)
-    traces = []
-    for trial in range(args.trials):
-        traces.append(
-            rep.simulate_schedule(
-                args.policy,
-                args.target,
-                cfg,
-                seed=args.seed + trial,
-                force_success=args.force_success,
-                bands=args.bands,
-            )
+    traces = [
+        rep.simulate_schedule(
+            args.policy,
+            args.target,
+            cfg,
+            seed=args.seed + trial,
+            force_success=args.force_success,
+            bands=args.bands,
         )
+        for trial in range(args.trials)
+    ]
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(rep.trace_events_jsonl(traces[0]))
     if args.format == "json":
         return _json_text([rep.trace_to_json(t) for t in traces])
     rows = [
-        (
-            k,
-            t.seed,
-            t.outcome,
-            t.rounds,
-            t.raw_pairs_consumed,
-            t.final_fidelity,
-        )
+        (k, t.seed, t.outcome, t.rounds, t.raw_pairs_consumed, t.final_fidelity)
         for k, t in enumerate(traces)
     ]
     return _csv_text(SIM_COLUMNS, rows)

@@ -77,6 +77,11 @@ def _plog2(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _entropy_bits(w) -> float:
+    """-sum w log2 w over probabilities w; 0.0 - x makes an all-zero sum +0.0, never -0.0."""
+    return 0.0 - float(_plog2(w).sum())
+
+
 def _entropy_and_log2(mats: np.ndarray):
     """(S(X), log2 X) for a stack of Hermitian matrices X, from one eigh.
 
@@ -126,13 +131,13 @@ def binary_entropy(p: float) -> EntropyScalar:
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise InvalidProbability(f"p = {p} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    return EntropyScalar(-float(_plog2([p, 1.0 - p]).sum()), "shannon")
+    return EntropyScalar(_entropy_bits([p, 1.0 - p]), "shannon")
 
 
 def von_neumann(rho) -> EntropyScalar:
     """S(rho) = -sum_i lambda_i log2 lambda_i over the spectrum."""
     w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
-    return EntropyScalar(-float(_plog2(w).sum()), "von_neumann")
+    return EntropyScalar(_entropy_bits(w), "von_neumann")
 
 
 def relative_entropy(rho, sigma) -> EntropyScalar:
@@ -193,9 +198,7 @@ def holevo_quantity(ensemble: Ensemble) -> EntropyScalar:
     """chi = S(sum_i p_i rho_i) - sum_i p_i S(rho_i)."""
     avg = ensemble.average()
     mix = float(von_neumann(avg))
-    members = sum(
-        p * float(von_neumann(s)) for p, s in zip(ensemble.weights, ensemble.states)
-    )
+    members = sum(p * float(von_neumann(s)) for p, s in zip(ensemble.weights, ensemble.states))
     return EntropyScalar(max(mix - members, 0.0), "holevo")
 
 
@@ -233,7 +236,7 @@ def renyi_entropy(rho, r: float) -> EntropyScalar:
     if math.isinf(r):
         return EntropyScalar(-math.log2(float(w.max())), "renyi")
     if abs(r - 1.0) <= 1e-12:
-        return EntropyScalar(-float(_plog2(w).sum()), "renyi")
+        return EntropyScalar(_entropy_bits(w), "renyi")
     if r == 0.0:
         rank = int(np.count_nonzero(w > _SUPPORT_TOL))
         return EntropyScalar(math.log2(rank), "renyi")

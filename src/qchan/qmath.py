@@ -309,10 +309,7 @@ def to_bloch(rho) -> BlochVector:
     m = _as_matrix(rho)
     if m.shape != (2, 2):
         raise DimensionMismatch(f"Bloch coordinates need dim 2, got {m.shape[0]}")
-    x = float(np.trace(m @ PAULI_X).real)
-    y = float(np.trace(m @ PAULI_Y).real)
-    z = float(np.trace(m @ PAULI_Z).real)
-    return BlochVector((x, y, z))
+    return BlochVector(tuple(float(np.trace(m @ p).real) for p in (PAULI_X, PAULI_Y, PAULI_Z)))
 
 
 def spectral_decompose(rho):
@@ -397,14 +394,9 @@ def purify(rho) -> PureState:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    d = rho.dim
-    amp = np.zeros(d * d, dtype=complex)
-    for i, (val, vec) in enumerate(spectral_decompose(rho)):
-        if val <= 0.0:
-            continue
-        basis = np.zeros(d, dtype=complex)
-        basis[i] = 1.0
-        amp += np.sqrt(val) * np.kron(basis, vec)
+    basis = np.eye(rho.dim, dtype=complex)
+    pairs = enumerate(spectral_decompose(rho))
+    amp = sum(np.sqrt(val) * np.kron(basis[i], vec) for i, (val, vec) in pairs if val > 0.0)
     nrm = np.linalg.norm(amp)
     return PureState(amp / nrm)
 
@@ -445,11 +437,7 @@ def entanglement_fidelity(rho, channel) -> float:
     if completeness_residual(kraus) > COMPLETENESS_TOL:
         raise InvalidChannel("channel is not trace preserving")
     psi = purify(rho).amplitudes
-    eye = np.eye(d)
-    val = 0.0
-    for k in kraus:
-        amp = np.vdot(psi, np.kron(eye, k) @ psi)
-        val += abs(amp) ** 2
+    val = sum(abs(np.vdot(psi, np.kron(np.eye(d), k) @ psi)) ** 2 for k in kraus)
     return float(min(val, 1.0))
 
 

@@ -135,9 +135,7 @@ def link_success_probability(F: float, eta: float) -> float:
         raise DegenerateLoss("loss fraction 1 leaves no transmission")
     if eta < 0.0:
         raise InvalidParameter(f"loss fraction {eta} is negative")
-    base = 2.0 * F - 1.0
-    exponent = eta / (1.0 - eta)
-    value = 1.0 - base**exponent
+    value = 1.0 - (2.0 * F - 1.0) ** (eta / (1.0 - eta))
     return min(max(value, 0.0), 1.0)
 
 
@@ -266,8 +264,7 @@ def _pick_purify(policy, pool: _Pool, band_of) -> Optional[Tuple[int, int]]:
         groups = pool.by_level()
         for level in sorted(groups):
             if len(groups[level]) >= 2:
-                a, b = sorted(groups[level])[:2]
-                return a, b
+                return tuple(sorted(groups[level])[:2])
         return None
     if policy == "pumping":
         if len(pool.pairs) >= 2:

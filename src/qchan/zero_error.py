@@ -142,19 +142,14 @@ def strong_product(g: ConfusabilityGraph, n: int) -> ConfusabilityGraph:
         raise InvalidParameter(f"need n >= 1, got {n}")
     size = g.vertex_count**n
     if size > _PRODUCT_VERTEX_LIMIT:
-        raise TooLarge(
-            f"{g.vertex_count}^{n} = {size} vertices exceeds {_PRODUCT_VERTEX_LIMIT}"
-        )
+        raise TooLarge(f"{g.vertex_count}^{n} = {size} vertices exceeds {_PRODUCT_VERTEX_LIMIT}")
     loop = g.adjacency | np.eye(g.vertex_count, dtype=bool)
     acc = loop.astype(np.uint8)
     for _ in range(n - 1):
         acc = np.kron(acc, loop.astype(np.uint8))
     adj = acc.astype(bool)
     np.fill_diagonal(adj, False)
-    labels = [
-        "(" + ",".join(combo) + ")"
-        for combo in itertools.product(g.labels, repeat=n)
-    ]
+    labels = ["(" + ",".join(combo) + ")" for combo in itertools.product(g.labels, repeat=n)]
     return ConfusabilityGraph(labels, adj)
 
 

@@ -13,8 +13,10 @@ from qchan import (
     affine_representation,
     analytic_capacity,
     apply,
+    binary_entropy,
     complementary,
     entanglement_assisted,
+    from_kraus,
     full_report,
     holevo_quantity,
     hsw_geometric,
@@ -302,6 +304,114 @@ class TestHswGeometric:
         flagged = hsw_geometric(ch, FAST)
         assert flagged.optimizer.converged is False
         assert flagged.r_star == rep.r_star
+
+
+def _qubit_panel():
+    """Six unital families, amplitude damping at 0.2, 0.4, 0.7 and three random
+    2->2 channels drawn from default_rng(1): the qubit benchmark panel."""
+    channels = [
+        make_channel(kind, p=p)
+        for kind, p in (
+            ("depolarizing", 0.1),
+            ("depolarizing", 0.4),
+            ("bit_flip", 0.2),
+            ("phase_flip", 0.3),
+            ("bit_phase_flip", 0.15),
+            ("dephasing", 0.4),
+        )
+    ]
+    channels += [make_channel("amplitude_damping", gamma=g) for g in (0.2, 0.4, 0.7)]
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        channels.append(random_cptp_channel(2, 2, int(rng.integers(2, 5)), rng))
+    return channels
+
+
+def _ensemble_chi(channel, report):
+    ens = report.optimal_ensemble
+    return float(holevo_quantity(Ensemble(ens.weights, [apply(channel, s) for s in ens.states])))
+
+
+class TestHswGeometricCertificate:
+    NOTES = ("single-letter value; lower bound on the regularized capacity",)
+
+    def test_random_channel_meets_its_certificate(self):
+        ch = random_cptp_channel(2, 2, 3, np.random.default_rng(7))
+        geo = hsw_geometric(ch, FAST)
+        assert abs(geo.r_star - hsw_numeric(ch, FAST).C_hsw) <= 1e-6
+        assert geo.optimizer.achieved_tolerance <= 1e-6
+        assert geo.notes == self.NOTES
+
+    def test_pure_output_classical_quantum_channel(self):
+        # |0> -> |0> and |1> -> |+>: two pure outputs 90 degrees apart on the sphere
+        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        ch = from_kraus([np.diag([1.0, 0.0]), np.outer(plus, [0.0, 1.0])])
+        rep = hsw_geometric(ch, FAST)
+        expected = float(binary_entropy((1.0 + 1.0 / math.sqrt(2.0)) / 2.0))
+        assert abs(rep.r_star - expected) <= 1e-9
+        assert rep.optimizer.achieved_tolerance <= 1e-9
+
+    @pytest.mark.parametrize("kind,params", [
+        ("identity", {}),
+        ("depolarizing", {"p": 0.4}),
+        ("depolarizing", {"p": 1.0}),
+        ("bit_flip", {"p": 0.2}),
+        ("dephasing", {"p": 0.3}),
+    ])
+    def test_unital_radius_is_closed_form(self, kind, params):
+        ch = make_channel(kind, **params)
+        rep = hsw_geometric(ch, FAST)
+        assert rep.optimizer.evaluations == 0
+        assert rep.optimizer.achieved_tolerance == 0.0
+        assert abs(_ensemble_chi(ch, rep) - rep.r_star) <= 1e-12
+
+    @pytest.mark.parametrize("ch", [
+        make_channel("amplitude_damping", gamma=0.3),
+        random_cptp_channel(2, 2, 3, np.random.default_rng(7)),
+    ])
+    def test_reruns_are_byte_identical(self, ch):
+        assert repr(hsw_geometric(ch, FAST)) == repr(hsw_geometric(ch, FAST))
+
+    def test_duality_gap_on_the_qubit_panel(self):
+        for ch in _qubit_panel():
+            rep = hsw_geometric(ch, FAST)
+            assert rep.optimizer.achieved_tolerance <= 1e-6
+            assert rep.optimizer.converged is True
+            assert rep.notes == self.NOTES
+            # the reported ensemble is the lower end of the bracket
+            chi = _ensemble_chi(ch, rep)
+            assert rep.r_star - 1e-6 <= chi <= rep.r_star + 1e-12
+
+    def test_never_calls_the_ensemble_solvers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hsw_geometric called an ensemble solver")
+
+        for name in ("hsw_numeric", "_hsw_qubit", "_qubit_neg_chi", "_pure_ensemble_neg_chi"):
+            monkeypatch.setattr(capacity, name, forbidden)
+        rep = hsw_geometric(random_cptp_channel(2, 2, 3, np.random.default_rng(7)), FAST)
+        assert rep.optimizer.achieved_tolerance <= 1e-6
+
+    def test_kkt_jacobian_matches_central_differences(self):
+        aff = affine_representation(random_cptp_channel(2, 2, 3, np.random.default_rng(7)))
+        us = np.random.default_rng(0).standard_normal((3, 3))
+        us /= np.linalg.norm(us, axis=1)[:, None]
+        w, t, r = np.array([0.2, 0.5, 0.3]), np.array([0.1, -0.2, 0.3]), 0.4
+        _, jac, frames, free = capacity._kkt_residual(aff, us, w, t, r)
+        assert free.all() and jac.shape == (3 + 4 + 6, 6 + 4 + 3)
+
+        def residual(step):
+            moved = capacity._retract(us, frames, step[:6].reshape(3, 2))
+            return capacity._kkt_residual(aff, moved, w + step[9:12], t + step[6:9], r + step[12])[0]
+
+        h = 1e-6
+        num = np.column_stack([
+            (residual(h * e) - residual(-h * e)) / (2.0 * h) for e in np.eye(jac.shape[1])
+        ])
+        # moving an input also turns its tangent frame, which changes its own
+        # gradient rows only where that gradient is nonzero; all else is exact
+        exact = np.ones(jac.shape, dtype=bool)
+        exact[7:, :6] = False
+        assert np.abs(num - jac)[exact].max() <= 1e-6
 
 
 class TestQuantumCapacity:

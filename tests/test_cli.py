@@ -12,7 +12,8 @@ import pytest
 
 import qchan
 from qchan import channel_to_json, make_channel
-from qchan.cli import main
+from qchan.cli import SWEEP_LIMIT, _parse_sweep, main
+from qchan.errors import InvalidParameter
 
 
 def run(capsys, *argv):
@@ -432,3 +433,49 @@ def test_channel_inspect_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "0 False"
+
+
+def _run_cli_process(*argv, timeout=60):
+    env = dict(os.environ)
+    src = str(Path(qchan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qchan.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("verb", [
+    ("capacity", "--kind", "depolarizing"),
+    ("repeater-rate", "--segments", "2", "--l0", "20km"),
+])
+def test_oversized_sweep_is_refused_before_it_is_built(verb):
+    """10^18 points would fill memory; the count is checked before any is made."""
+    out = _run_cli_process(*verb, "--sweep", "0:1e9:1e-9")
+    assert out.returncode == 2
+    assert f"over {SWEEP_LIMIT}" in out.stderr
+
+
+def test_sweep_limit_is_inclusive():
+    assert len(_parse_sweep(f"0:{SWEEP_LIMIT - 1}:1")) == SWEEP_LIMIT
+    with pytest.raises(InvalidParameter):
+        _parse_sweep(f"0:{SWEEP_LIMIT}:1")
+
+
+def test_tenth_steps_still_give_eleven_points(capsys):
+    code, out, _ = run(
+        capsys, "capacity", "--kind", "depolarizing", "--sweep", "0:1:0.1", "--measure", "hsw-geo"
+    )
+    assert code == 0
+    assert [row["param"] for row in csv_rows(out)] == [str(k / 10) for k in range(11)]
+
+
+def test_pure_output_entropies_print_positive_zero(capsys):
+    code, out, _ = run(capsys, "capacity", "--kind", "identity", "--measure", "minent")
+    assert code == 0
+    (row,) = csv_rows(out)
+    assert row["S_min"] == "0.0"
+    code, out, _ = run(capsys, "channel-inspect", "--kind", "amplitude_damping", "--gamma", "0.3")
+    assert code == 0
+    assert '"min_output_entropy": 0.0,' in out
+    assert math.copysign(1.0, json.loads(out)["min_output_entropy"]) == 1.0

@@ -246,3 +246,16 @@ class TestEntropyAndLog2:
         assert ent == 0.0
         assert logm[0, 0] == 0.0
         assert np.isclose(logm[1, 1], math.log2(1e-300))
+
+
+@pytest.mark.parametrize("value", [
+    binary_entropy(0.0),
+    binary_entropy(1.0),
+    von_neumann(np.diag([1.0, 0.0])),
+    von_neumann(np.diag([0.0, 0.0, 1.0])),
+    renyi_entropy(np.diag([0.0, 1.0]), 1.0),
+])
+def test_vanishing_entropy_is_positive_zero(value):
+    """-sum of all-zero terms is -0.0 in floating point; the entropies return +0.0."""
+    assert value == 0.0
+    assert math.copysign(1.0, value) == 1.0
