@@ -15,6 +15,7 @@ from .capacity import (
     full_report,
     hsw_geometric,
     hsw_numeric,
+    min_output_entropy,
     private_information,
     quantum_capacity_single_use,
 )
@@ -37,7 +38,6 @@ from .channels import (
     is_entanglement_breaking,
     is_unital,
     make_channel,
-    min_output_entropy,
     random_cptp_channel,
     tensor,
     tetrahedron_check,

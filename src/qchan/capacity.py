@@ -2,15 +2,18 @@
 
 Numeric optimizers for the single-letter capacities (Holevo ensemble
 optimization, coherent-information maximization, entanglement-assisted
-mutual information, private information), an independent geometric
+mutual information, private information) and the minimum output
+entropy, an independent geometric
 solver that finds the informational radius r* of a qubit channel as a
 min-max relative-entropy ball problem, and closed forms for the channel
 families that have them.
 
-All solvers are deterministic for a fixed OptimizerConfig seed, use
-multi-start local refinement (sequential, lowest start index wins ties),
-and report single-letter quantities: every value is a one-use optimum,
-which lower-bounds the regularized capacity.
+All solvers are deterministic for a fixed OptimizerConfig seed. Every
+search runs L-BFGS-B through one multi-start driver (_MultiStart:
+sequential, lowest start index wins ties) from one start source
+(_seeded_starts: a solver's fixed starts, then seeded draws). Capacities
+are single-letter: every value is a one-use optimum, which lower-bounds
+the regularized capacity.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .channels import (
     QuantumChannel,
     _check_prob,
     _max_output_direction,
+    _max_output_radius,
     _reject_extra,
     _superoperator,
     affine_representation,
@@ -32,9 +36,9 @@ from .channels import (
     from_kraus,
     is_cptp,
     is_unital,
-    min_output_entropy,
 )
 from .entropy import (
+    EntropyScalar,
     _bloch_divergences,
     _bloch_negentropy,
     _entropy_and_log2,
@@ -63,6 +67,10 @@ class OptimizerConfig:
     restarts: int = 32
     tolerance: float = 1e-6
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.restarts >= 1:
+            raise InvalidParameter(f"restarts {self.restarts} must be at least 1")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -142,16 +150,16 @@ class _MultiStart:
         self.started = 0
         self._since_improve = 0
 
-    def run(self, objective: Callable, starts, method="L-BFGS-B", options=None, jac=None):
+    def run(self, objective: Callable, starts, options=None):
+        """L-BFGS-B from each start in turn; objective returns (value, gradient)."""
         from scipy.optimize import minimize
 
         options = options or {}
         for x0 in starts:
             if self.started >= self.cfg.restarts:
                 break
-            res = minimize(
-                objective, np.asarray(x0, dtype=float), method=method, jac=jac, options=options
-            )
+            x0 = np.asarray(x0, dtype=float)
+            res = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
             self.started += 1
             self.iterations += int(res.nit)
             self.evaluations += int(res.nfev)
@@ -181,25 +189,15 @@ class _MultiStart:
         )
 
 
-def _axis_ensemble_starts(m: int, rng: np.random.Generator, total: int):
-    """Start points for m-member qubit ensembles: axis pairs, then random."""
-    axes = list(np.array(
-        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float))
-    structured = [
-        [axes[0], axes[1], axes[2], axes[3]],
-        [axes[0], axes[1], axes[4], axes[5]],
-        [axes[2], axes[3], axes[4], axes[5]],
-        [axes[0], axes[1], axes[0], axes[1]],
-    ]
-    starts = []
-    for vecs in structured:
-        vecs = (vecs * m)[:m]
-        starts.append(np.concatenate([np.concatenate(vecs), np.zeros(m)]))
-    while len(starts) < total:
-        x = rng.standard_normal(3 * m)
-        w = 0.1 * rng.standard_normal(m)
-        starts.append(np.concatenate([x, w]))
-    return starts
+def _seeded_starts(cfg: OptimizerConfig, fixed, draw: Callable):
+    """A solver's fixed starts, then draw(rng) from default_rng(cfg.seed): cfg.restarts in all.
+
+    Draws are made lazily, so a search that stops early draws no further;
+    the k-th start is the same whenever the search reaches it.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    for k in range(cfg.restarts):
+        yield fixed[k] if k < len(fixed) else draw(rng)
 
 
 def _unpack_bloch_ensemble(t: np.ndarray, m: int):
@@ -246,11 +244,20 @@ def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
     m = max(2, int(cfg.max_inputs))
     neg_chi = _qubit_neg_chi(aff.A, aff.b, m)
 
-    rng = np.random.default_rng(cfg.seed)
+    # axis pairs, then random directions and logits
+    axes = np.array(
+        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
+    fixed = [
+        np.concatenate([axes[np.resize(pick, m)].reshape(-1), np.zeros(m)])
+        for pick in ([0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5], [0, 1, 0, 1])
+    ]
     opts = {"maxiter": 300, "ftol": 1e-13, "gtol": 1e-9}
-    ms = _MultiStart(cfg).run(
-        neg_chi, _axis_ensemble_starts(m, rng, cfg.restarts), options=opts, jac=True
+    starts = _seeded_starts(
+        cfg,
+        fixed,
+        lambda rng: np.concatenate([rng.standard_normal(3 * m), 0.1 * rng.standard_normal(m)]),
     )
+    ms = _MultiStart(cfg).run(neg_chi, starts, options=opts)
 
     # prune negligible members, then polish once more
     us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
@@ -275,19 +282,12 @@ def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
     return _clamp_zero(-ms.best_val), ensemble, ms.stats()
 
 
-def _basis_ensemble_starts(d: int, m: int, rng: np.random.Generator, total: int):
-    starts = []
+def _basis_ensembles(d: int, m: int) -> list:
+    """Fixed starts of the pure-ensemble searches: basis states, then the uniform superposition."""
     base = np.zeros(m * 2 * d)
-    for k in range(m):
-        base[k * 2 * d + (k % d)] = 1.0
-    starts.append(np.concatenate([base, np.zeros(m)]))
+    base[np.arange(m) * 2 * d + np.arange(m) % d] = 1.0
     uniform = np.tile(np.concatenate([np.ones(d), np.zeros(d)]) / math.sqrt(d), m)
-    starts.append(np.concatenate([uniform, np.zeros(m)]))
-    while len(starts) < total:
-        starts.append(
-            np.concatenate([rng.standard_normal(m * 2 * d), 0.1 * rng.standard_normal(m)])
-        )
-    return starts
+    return [np.concatenate([base, np.zeros(m)]), np.concatenate([uniform, np.zeros(m)])]
 
 
 def _unpack_vector_ensemble(t: np.ndarray, m: int, d: int):
@@ -341,11 +341,14 @@ def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
 def _hsw_general(channel: QuantumChannel, cfg: OptimizerConfig):
     d = channel.dim_in
     m = max(2, int(cfg.max_inputs))
-    rng = np.random.default_rng(cfg.seed)
     opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
     neg_chi = _pure_ensemble_neg_chi(channel.kraus, m, d)
-    starts = _basis_ensemble_starts(d, m, rng, cfg.restarts)
-    ms = _MultiStart(cfg).run(neg_chi, starts, options=opts, jac=True)
+    starts = _seeded_starts(
+        cfg,
+        _basis_ensembles(d, m),
+        lambda rng: np.concatenate([rng.standard_normal(2 * m * d), 0.1 * rng.standard_normal(m)]),
+    )
+    ms = _MultiStart(cfg).run(neg_chi, starts, options=opts)
     psi, w, _, _ = _unpack_vector_ensemble(ms.best_x, m, d)
     keep = w > 1e-4
     states = [DensityMatrix(np.outer(amp, amp.conj()), repair=True) for amp in psi[keep]]
@@ -612,15 +615,6 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     )
 
 
-def _state_param_starts(d: int, rng: np.random.Generator, total: int):
-    starts = []
-    eye = np.eye(d).reshape(-1)
-    starts.append(np.concatenate([eye, np.zeros(d * d)]))
-    while len(starts) < total:
-        starts.append(rng.standard_normal(2 * d * d))
-    return starts
-
-
 def _state_linear_forms(kraus) -> np.ndarray:
     """Rows F_ab, one per input matrix unit |a><b|, with vec(rho) @ F = (N(rho), env(rho)).
 
@@ -683,14 +677,15 @@ def _state_neg_value(kraus, coeffs) -> Callable:
 
 def _maximize_state_functional(channel: QuantumChannel, cfg: OptimizerConfig, coeffs):
     """Maximize c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)) over input states."""
-    rng = np.random.default_rng(cfg.seed)
-    opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
-    ms = _MultiStart(cfg).run(
-        _state_neg_value(channel.kraus, coeffs),
-        _state_param_starts(channel.dim_in, rng, cfg.restarts),
-        options=opts,
-        jac=True,
+    d = channel.dim_in
+    # M = I (the maximally mixed input), then random M
+    starts = _seeded_starts(
+        cfg,
+        [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])],
+        lambda rng: rng.standard_normal(2 * d * d),
     )
+    opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
+    ms = _MultiStart(cfg).run(_state_neg_value(channel.kraus, coeffs), starts, options=opts)
     return -ms.best_val, ms.stats()
 
 
@@ -755,11 +750,13 @@ def private_information(
         (val_b, grad_b), (val_e, grad_e) = chi_b(t), chi_e(t)
         return val_b - val_e, grad_b - grad_e
 
-    rng = np.random.default_rng(cfg.seed)
     opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
-    ms = _MultiStart(cfg).run(
-        neg_p, _basis_ensemble_starts(d, m, rng, cfg.restarts), options=opts, jac=True
+    starts = _seeded_starts(
+        cfg,
+        _basis_ensembles(d, m),
+        lambda rng: np.concatenate([rng.standard_normal(2 * m * d), 0.1 * rng.standard_normal(m)]),
     )
+    ms = _MultiStart(cfg).run(neg_p, starts, options=opts)
     return CapacityReport(
         channel_label=channel.label,
         P1=_clamp_zero(-ms.best_val),
@@ -842,9 +839,61 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     raise Unsupported(f"no closed form for kind {kind!r}")
 
 
+def _pure_output_entropy(kraus, d: int):
+    """S(N(|psi><psi|)) of psi = a / |a| and its gradient in x = (Re a, Im a).
+
+    With out = sum_i K_i psi psi^dag K_i^dag, dS = -Tr(log2(out) d out) (the
+    trace term drops on the unit sphere), so the gradient in psi is
+    g = -2 sum_i K_i^dag log2(out) K_i psi, projected onto the sphere's
+    tangent space and divided by |a|. Every K_i psi lies in the range of
+    out, so the floored null-space block of log2(out) never reaches g.
+    """
+    ks = np.asarray(kraus, dtype=complex)
+    d_out = ks.shape[1]
+
+    def entropy(x):
+        amp = x[:d] + 1j * x[d:]
+        nrm = float(np.linalg.norm(amp))
+        if nrm < 1e-9:
+            return math.log2(d_out), np.zeros(2 * d)
+        psi = amp / nrm
+        v = ks @ psi
+        ent, logm = _entropy_and_log2(v.T @ v.conj())
+        g = -2.0 * np.einsum("iod,io->d", ks.conj(), v @ logm.T)
+        g = (g - (psi.conj() @ g).real * psi) / nrm
+        return float(ent), np.concatenate((g.real, g.imag))
+
+    return entropy
+
+
 def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> CapacityReport:
-    """min_output_entropy as a report with S_min set; it takes no optimizer knobs."""
-    return CapacityReport(channel_label=channel.label, S_min=float(min_output_entropy(channel)))
+    """Minimum output entropy S_min = min_psi S(N(|psi><psi|)) as a report.
+
+    The minimum over all inputs is attained on a pure state. Qubit-to-qubit
+    channels reduce to the largest output Bloch radius, which has a closed
+    form (stats OptimizerStats(0, 0, 0.0)); other channels run _MultiStart
+    over pure inputs on an analytic gradient, from the basis states and
+    their uniform superposition, then seeded draws.
+    """
+    if not is_cptp(channel):
+        raise InvalidChannel("minimum output entropy needs a CPTP channel")
+    if channel.dim_in == 2 and channel.dim_out == 2:
+        radius = _max_output_radius(affine_representation(channel))
+        s_min = float(binary_entropy((1.0 + radius) / 2.0))
+        stats = OptimizerStats(0, 0, 0.0)
+    else:
+        d = channel.dim_in
+        fixed = np.vstack((np.eye(d, 2 * d), np.ones(2 * d) / math.sqrt(2 * d)))
+        starts = _seeded_starts(cfg, fixed, lambda rng: rng.standard_normal(2 * d))
+        opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
+        ms = _MultiStart(cfg).run(_pure_output_entropy(channel.kraus, d), starts, options=opts)
+        s_min, stats = _clamp_zero(ms.best_val), ms.stats()
+    return CapacityReport(channel_label=channel.label, S_min=s_min, optimizer=stats)
+
+
+def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
+    """Minimum output entropy min_psi S(N(|psi><psi|)) in bits, with the default config."""
+    return EntropyScalar(_min_entropy_report(channel, DEFAULT_CONFIG).S_min, "von_neumann")
 
 
 # Measure name -> (solver, the report fields it fills). Its order is the order

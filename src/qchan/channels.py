@@ -3,9 +3,10 @@
 Channels are immutable Kraus-operator lists (plus one affine-only map
 used as a non-completely-positive witness). The module provides Choi and
 affine/Bloch representations, composition and tensoring, complementary
-channels, minimum output entropy, and structural classifiers: CPTP,
-unital, Pauli-distortion tetrahedron membership, degradability and
-entanglement breaking.
+channels, the largest output Bloch radius of a qubit channel, and
+structural classifiers: CPTP, unital, Pauli-distortion tetrahedron
+membership, degradability and entanglement breaking. Minimum output
+entropy is a search over inputs and lives in qchan.capacity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import EntropyScalar, _entropy_and_log2, binary_entropy
 from .errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -595,73 +595,6 @@ def _max_output_direction(aff: AffineMap) -> np.ndarray:
     if fill > 1e-8:
         y[-1] = math.sqrt(fill)
     return vecs @ (y / np.linalg.norm(y))
-
-
-def _pure_output_entropy(kraus, d: int):
-    """S(N(|psi><psi|)) of psi = a / |a| and its gradient in x = (Re a, Im a).
-
-    With out = sum_i K_i psi psi^dag K_i^dag, dS = -Tr(log2(out) d out) (the
-    trace term drops on the unit sphere), so the gradient in psi is
-    g = -2 sum_i K_i^dag log2(out) K_i psi, projected onto the sphere's
-    tangent space and divided by |a|. Every K_i psi lies in the range of
-    out, so the floored null-space block of log2(out) never reaches g.
-    """
-    ks = np.asarray(kraus, dtype=complex)
-    d_out = ks.shape[1]
-
-    def entropy(x):
-        amp = x[:d] + 1j * x[d:]
-        nrm = float(np.linalg.norm(amp))
-        if nrm < 1e-9:
-            return math.log2(d_out), np.zeros(2 * d)
-        psi = amp / nrm
-        v = ks @ psi
-        ent, logm = _entropy_and_log2(v.T @ v.conj())
-        g = -2.0 * np.einsum("iod,io->d", ks.conj(), v @ logm.T)
-        g = (g - (psi.conj() @ g).real * psi) / nrm
-        return float(ent), np.concatenate((g.real, g.imag))
-
-    return entropy
-
-
-def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
-    """Minimum output entropy min_psi S(N(|psi><psi|)).
-
-    The minimum over all inputs is attained on a pure state. Qubit-to-
-    qubit channels reduce to the largest output Bloch radius, which has a
-    closed form; other dimensions run a deterministic multi-start L-BFGS-B
-    search over pure inputs on an analytic gradient.
-    """
-    report = is_cptp(channel)
-    if not report:
-        raise InvalidChannel("minimum output entropy needs a CPTP channel")
-    if channel.dim_in == 2 and channel.dim_out == 2 and channel.kraus is not None:
-        radius = _max_output_radius(affine_representation(channel))
-        return EntropyScalar(float(binary_entropy((1.0 + radius) / 2.0)), "von_neumann")
-
-    from scipy.optimize import minimize
-
-    d = channel.dim_in
-    objective = _pure_output_entropy(channel.kraus, d)
-    # the basis states, their uniform superposition, then 12 seeded draws
-    starts = np.vstack(
-        (
-            np.eye(d, 2 * d),
-            np.ones(2 * d) / math.sqrt(2 * d),
-            np.random.default_rng(0).standard_normal((12, 2 * d)),
-        )
-    )
-    best = math.inf
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="L-BFGS-B",
-            jac=True,
-            options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10},
-        )
-        best = min(best, float(res.fun))
-    return EntropyScalar(max(best, 0.0), "von_neumann")
 
 
 def is_degradable(channel: QuantumChannel, cond_limit: float = 1e12) -> DegradabilityReport:

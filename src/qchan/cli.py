@@ -146,8 +146,8 @@ def _cmd_channel_inspect(args) -> str:
         "dim_out": channel.dim_out,
         "has_kraus": channel.kraus is not None,
     }
-    if channel.kraus is not None:
-        report = ch.is_cptp(channel)
+    report = ch.is_cptp(channel) if channel.kraus is not None else None
+    if report is not None:
         info["cptp"] = {
             "trace_preserving": report.trace_preserving,
             "completely_positive": report.completely_positive,
@@ -155,7 +155,7 @@ def _cmd_channel_inspect(args) -> str:
             "choi_min_eigenvalue": report.choi_min_eigenvalue,
         }
         info["unital"] = ch.is_unital(channel)
-        if bool(report):
+        if report:
             deg = ch.is_degradable(channel)
             info["degradable"] = {
                 "status": deg.status,
@@ -168,9 +168,9 @@ def _cmd_channel_inspect(args) -> str:
             "A": [[float(x) for x in row] for row in aff.A],
             "b": [float(x) for x in aff.b],
         }
-        if channel.kraus is not None and bool(ch.is_cptp(channel)):
+        if report:
             info["entanglement_breaking"] = ch.is_entanglement_breaking(channel)
-            info["min_output_entropy"] = float(ch.min_output_entropy(channel))
+            info["min_output_entropy"] = float(cap.min_output_entropy(channel))
     else:
         cm = ch.choi(channel)
         info["choi_min_eigenvalue"] = cm.min_eigenvalue
@@ -225,6 +225,8 @@ def _cmd_capacity(args) -> str:
 
 def _cmd_zero_error(args) -> str:
     channel = None
+    if args.graph and (args.kind or args.channel_file):
+        raise InvalidParameter("give --graph or a channel (--kind, --channel-file), not both")
     if args.graph == "pentagon":
         graph = ze.pentagon_graph()
         label = "pentagon"
@@ -240,8 +242,6 @@ def _cmd_zero_error(args) -> str:
         raise InvalidParameter("give --graph, --kind, or --channel-file")
 
     hsw_upper = None
-    if channel is None and (args.kind or args.channel_file):
-        channel = _build_channel(args)
     if channel is not None and channel.kraus is not None:
         hsw_upper = cap.hsw_numeric(channel, _optimizer_config(args)).C_hsw
 

@@ -230,8 +230,8 @@ def renyi_entropy(rho, r: float) -> EntropyScalar:
     and r -> inf gives -log2 of the largest eigenvalue (operator norm);
     r = inf is accepted directly.
     """
-    if r < 0:
-        raise InvalidOrder(f"Renyi order {r} is negative")
+    if not r >= 0:
+        raise InvalidOrder(f"Renyi order {r} is negative or NaN")
     w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
     if math.isinf(r):
         return EntropyScalar(-math.log2(float(w.max())), "renyi")

@@ -71,8 +71,8 @@ class BlochVector:
         arr = np.asarray(r, dtype=float)
         if arr.shape != (3,):
             raise InvalidBlochVector(f"expected 3 components, got shape {arr.shape}")
-        if np.linalg.norm(arr) > 1.0 + STATE_TOL:
-            raise InvalidBlochVector(f"norm {np.linalg.norm(arr):.12f} exceeds 1")
+        if not np.linalg.norm(arr) <= 1.0 + STATE_TOL:
+            raise InvalidBlochVector(f"norm {np.linalg.norm(arr):.12f} exceeds 1 or is NaN")
         arr.setflags(write=False)
         self._r = arr
 

@@ -23,11 +23,14 @@ from .errors import (
     InvalidLevel,
     InvalidParameter,
     InvalidProbability,
+    TooLarge,
 )
 
 SIGNAL_SPEED = 2e8  # meters/second in fiber
 
 POLICIES = ("symmetric", "pumping", "greedy", "banded")
+# Most terms expected_rounds sums of its survival series
+SERIES_TERMS = 10_000_000
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -133,8 +136,8 @@ def link_success_probability(F: float, eta: float) -> float:
     eta = float(eta)
     if eta >= 1.0:
         raise DegenerateLoss("loss fraction 1 leaves no transmission")
-    if eta < 0.0:
-        raise InvalidParameter(f"loss fraction {eta} is negative")
+    if not eta >= 0.0:
+        raise InvalidParameter(f"loss fraction {eta} is negative or NaN")
     value = 1.0 - (2.0 * F - 1.0) ** (eta / (1.0 - eta))
     return min(max(value, 0.0), 1.0)
 
@@ -183,7 +186,9 @@ def expected_rounds(n: int, P0: float) -> float:
     This is the mean of the maximum of 2^n independent geometric
     variables with success probability P0. Small systems use the exact
     inclusion-exclusion sum with paired accumulation; larger ones use the
-    survival-series form, which avoids the huge alternating binomials.
+    survival-series form, which avoids the huge alternating binomials. A
+    series that would need more than SERIES_TERMS terms raises TooLarge
+    before its first term, so no sum is ever truncated.
     """
     if n < 0:
         raise InvalidLevel(f"levels {n} is negative")
@@ -202,8 +207,19 @@ def expected_rounds(n: int, P0: float) -> float:
         ]
         paired = [sum(terms[k : k + 2]) for k in range(0, m, 2)]
         return math.fsum(paired)
+    if q > 0.0:
+        # term k is at most m q^k = m e^(-lam k), and the sum stops at a term under
+        # 1e-15 of the total, by then above H_m / lam > (ln m + 0.577) / lam; up to
+        # k = ln(m) / lam every term exceeds 1/2, so none stops it earlier
+        lam = -math.log1p(-P0)
+        tail = math.log(m * lam / (1e-15 * (math.log(m) + 0.577)))
+        needed = max(math.log(m), tail) / lam + 1.0
+        if needed > SERIES_TERMS:
+            raise TooLarge(
+                f"n = {n}, P0 = {P0:g} needs {needed:.3g} series terms, over {SERIES_TERMS:g}"
+            )
     total = 1.0  # k = 0 term of sum_k [1 - (1 - q^k)^m]
-    for k in range(1, 10_000_000):
+    for k in itertools.count(1):
         qk = q**k
         if qk <= 0.0:
             break

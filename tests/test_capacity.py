@@ -31,8 +31,10 @@ from qchan.capacity import (
     _COHERENT,
     _MUTUAL,
     _MultiStart,
+    _min_entropy_report,
     _pure_ensemble_neg_chi,
     _qubit_neg_chi,
+    _seeded_starts,
     _state_neg_value,
 )
 from qchan.errors import InvalidChannel, InvalidParameter, Unsupported
@@ -52,6 +54,28 @@ DAMPING_Q = {
 }
 
 FAST = OptimizerConfig(restarts=16)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_fewer_than_one_restart_rejected(self, restarts):
+        with pytest.raises(InvalidParameter):
+            OptimizerConfig(restarts=restarts)
+
+
+class TestSeededStarts:
+    def test_fixed_starts_then_seeded_draws(self):
+        cfg = OptimizerConfig(restarts=5, seed=4)
+        starts = list(_seeded_starts(cfg, [np.zeros(3)], lambda rng: rng.standard_normal(3)))
+        assert len(starts) == 5
+        assert starts[0].tolist() == [0.0, 0.0, 0.0]
+        draws = np.random.default_rng(4).standard_normal((4, 3))
+        assert np.array_equal(np.array(starts[1:]), draws)
+
+    def test_fixed_starts_are_cut_at_restarts(self):
+        cfg = OptimizerConfig(restarts=2)
+        fixed = [np.full(2, k) for k in range(4)]
+        assert len(list(_seeded_starts(cfg, fixed, None))) == 2
 
 
 class TestHswNumeric:
@@ -98,7 +122,7 @@ class TestHswNumeric:
         m, d = 4, ch.dim_in
         start = np.random.default_rng(3).standard_normal(2 * m * d + m)
         ms = _MultiStart(FAST).run(
-            _pure_ensemble_neg_chi(ch.kraus, m, d), [start], options={"maxiter": 2}, jac=True
+            _pure_ensemble_neg_chi(ch.kraus, m, d), [start], options={"maxiter": 2}
         )
         assert ms.stats().converged is False
 
@@ -563,6 +587,38 @@ class TestAnalytic:
             analytic_capacity("erasure", p=1.5)
 
 
+def _qudit_smin_panel():
+    panel = np.random.default_rng(0)
+    return [
+        make_channel("erasure", p=0.2),
+        make_channel("erasure", p=0.6),
+        make_channel("mixed_erasure", p=0.2, q=0.3),
+        random_cptp_channel(2, 3, 2, panel),
+        random_cptp_channel(3, 2, 2, panel),
+    ]
+
+
+class TestMinEntropyReport:
+    def test_qubit_channel_reports_zero_stats(self):
+        rep = _min_entropy_report(make_channel("amplitude_damping", gamma=0.3), FAST)
+        assert rep.optimizer == OptimizerStats(0, 0, 0.0)
+        assert rep.S_min == 0.0
+
+    @pytest.mark.parametrize("channel", _qudit_smin_panel(), ids=lambda ch: ch.label)
+    def test_search_reports_a_converged_winner(self, channel):
+        rep = _min_entropy_report(channel, OptimizerConfig())
+        assert rep.optimizer.converged is True
+        assert 1 <= rep.optimizer.restarts <= 32
+        assert rep.optimizer.evaluations >= rep.optimizer.restarts
+
+    def test_seed_reaches_the_search(self):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        a = _min_entropy_report(ch, OptimizerConfig(seed=0))
+        b = _min_entropy_report(ch, OptimizerConfig(seed=5))
+        assert a.optimizer != b.optimizer
+        assert np.isclose(a.S_min, b.S_min, atol=1e-9)
+
+
 class TestFullReport:
     def test_merges_requested_measures(self):
         rep = full_report(
@@ -614,3 +670,18 @@ class TestFullReport:
         assert rep.optimizer.evaluations == (
             solo.optimizer.evaluations + qcap.optimizer.evaluations
         )
+
+    def test_min_entropy_stats_join_the_sum(self):
+        ch = random_cptp_channel(2, 3, 2, np.random.default_rng(0))
+        measures = ("hsw", "qcap", "ea", "private", "minent")
+        rep = full_report(ch, FAST, measures=measures)
+        solos = [
+            hsw_numeric(ch, FAST),
+            quantum_capacity_single_use(ch, FAST),
+            entanglement_assisted(ch, FAST),
+            private_information(ch, FAST),
+            _min_entropy_report(ch, FAST),
+        ]
+        assert solos[-1].optimizer.evaluations > 0
+        assert rep.optimizer.evaluations == sum(s.optimizer.evaluations for s in solos)
+        assert rep.optimizer.restarts == sum(s.optimizer.restarts for s in solos)

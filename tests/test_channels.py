@@ -27,7 +27,8 @@ from qchan import (
     tetrahedron_check,
     to_bloch,
 )
-from qchan.channels import _max_output_radius, _pure_output_entropy
+from qchan.capacity import _pure_output_entropy
+from qchan.channels import AffineMap, _max_output_radius
 from qchan.errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -331,6 +332,13 @@ class TestMinOutputEntropy:
     def test_reruns_are_byte_identical(self):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
         assert repr(min_output_entropy(ch)) == repr(min_output_entropy(ch))
+
+    def test_affine_only_qubit_channel_takes_the_exact_radius(self):
+        # |A u + b| <= 0.5 + 0.2, with equality at u = e_x
+        aff = AffineMap(np.diag([0.5, 0.4, 0.3]), np.array([0.2, 0.0, 0.0]))
+        ch = QuantumChannel(None, 2, 2, affine=aff)
+        assert is_cptp(ch)
+        assert np.isclose(min_output_entropy(ch), binary_entropy(0.85), atol=1e-12)
 
     def test_exact_radius_matches_a_dense_grid(self):
         from scipy.optimize import minimize

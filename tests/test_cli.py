@@ -137,14 +137,30 @@ class TestCapacityVerb:
         assert np.isclose(float(rows[0]["C_hsw"]), 1.0, atol=1e-6)
 
     def test_json_reports_objective_evaluations(self, capsys):
+        for argv in (
+            ("--kind", "amplitude_damping", "--gamma", "0.3"),
+            ("--kind", "erasure", "--p", "0.3", "--measure", "minent"),
+        ):
+            code, out, _ = run(capsys, "capacity", *argv, "--format", "json")
+            assert code == 0
+            (report,) = json.loads(out)
+            assert report["optimizer"]["evaluations"] > 0
+            assert report["optimizer"]["converged"] is True
+
+    def test_qubit_min_entropy_reports_zero_stats(self, capsys):
         code, out, _ = run(
-            capsys, "capacity", "--kind", "amplitude_damping", "--gamma", "0.3",
-            "--format", "json",
+            capsys, "capacity", "--kind", "depolarizing", "--p", "0.3",
+            "--measure", "minent", "--format", "json",
         )
         assert code == 0
         (report,) = json.loads(out)
-        assert report["optimizer"]["evaluations"] > 0
-        assert report["optimizer"]["converged"] is True
+        assert report["optimizer"] == {
+            "achieved_tolerance": 0.0,
+            "converged": True,
+            "evaluations": 0,
+            "iterations": 0,
+            "restarts": 0,
+        }
 
     def test_useless_erasure_prints_positive_zero(self, capsys):
         code, out, _ = run(
@@ -251,6 +267,16 @@ class TestZeroErrorVerb:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("channel", [
+        ("--kind", "depolarizing", "--p", "0.3"),
+        ("--channel-file", "chan.json"),
+    ])
+    def test_graph_with_a_channel_exits_two(self, capsys, channel):
+        code, out, err = run(capsys, "zero-error", "--graph", "pentagon", *channel)
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
 
 class TestRepeaterRateVerb:
     def test_kilometer_suffix_sets_round_trip_time(self, capsys):
@@ -300,6 +326,14 @@ class TestRepeaterRateVerb:
         )
         assert code == 2
         assert "error" in err
+
+    def test_unsettled_survival_series_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "repeater-rate", "--segments", "64", "--l0", "20km", "--p0", "1e-7"
+        )
+        assert code == 1
+        assert out == ""
+        assert "terms" in err
 
     @pytest.mark.parametrize("l0", ["nan", "inf", "nankm"])
     def test_non_finite_distance_exits_two(self, capsys, l0):

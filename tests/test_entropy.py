@@ -178,6 +178,10 @@ class TestRenyi:
         with pytest.raises(InvalidOrder):
             renyi_entropy(DensityMatrix(np.eye(2) / 2), -0.5)
 
+    def test_rejects_nan_order(self):
+        with pytest.raises(InvalidOrder):
+            renyi_entropy(DensityMatrix(np.eye(2) / 2), math.nan)
+
     def test_order_zero_counts_rank(self):
         rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))
         assert np.isclose(renyi_entropy(rho, 0.0), 1.0, atol=1e-12)

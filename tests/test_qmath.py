@@ -90,6 +90,10 @@ class TestBloch:
         with pytest.raises(InvalidBlochVector):
             BlochVector([0.8, 0.8, 0.8])
 
+    def test_rejects_nan_component(self):
+        with pytest.raises(InvalidBlochVector):
+            BlochVector([np.nan, 0.0, 0.0])
+
     def test_pure_state_on_surface(self):
         rho = from_bloch([0.0, 0.0, 1.0])
         assert np.allclose(rho.matrix, [[1, 0], [0, 0]])

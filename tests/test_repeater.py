@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from qchan.errors import (
     InvalidLevel,
     InvalidParameter,
     InvalidProbability,
+    TooLarge,
 )
 
 # iterates frozen from exact rational reference computations
@@ -108,6 +110,10 @@ class TestLinkSuccess:
     def test_negative_loss_rejected(self):
         with pytest.raises(InvalidParameter):
             link_success_probability(0.7, -0.1)
+
+    def test_nan_loss_rejected(self):
+        with pytest.raises(InvalidParameter):
+            link_success_probability(0.9, math.nan)
 
     def test_always_a_probability(self):
         for F in np.linspace(0.5, 1.0, 21):
@@ -218,6 +224,21 @@ class TestExpectedRounds:
     def test_zero_probability_diverges(self):
         with pytest.raises(Divergent):
             expected_rounds(2, 0.0)
+
+    @pytest.mark.parametrize("n,p0", [(6, 1e-7), (5, 1e-300)])
+    def test_unsettled_survival_series_refused_up_front(self, n, p0):
+        # (6, 1e-7) needs about 2e8 terms, and summing 1e7 of them took seconds;
+        # at P0 = 1e-300 the first term was a math domain error
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            expected_rounds(n, p0)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_survival_series_matches_exact_rationals(self, n):
+        m, q = 2**n, 1 - Fraction(1e-3)
+        exact = sum(math.comb(m, i) * (-1) ** (i + 1) / (1 - q**i) for i in range(1, m + 1))
+        assert math.isclose(expected_rounds(n, 1e-3), float(exact), rel_tol=1e-9)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidLevel):
