@@ -25,11 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channels import (
+    CHANNEL_KINDS,
     QuantumChannel,
-    _check_prob,
     _max_output_direction,
     _max_output_radius,
-    _reject_extra,
     _superoperator,
     affine_representation,
     complementary,
@@ -71,6 +70,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not self.restarts >= 1:
             raise InvalidParameter(f"restarts {self.restarts} must be at least 1")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed {self.seed} must be non-negative")
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -768,24 +769,23 @@ def private_information(
 def analytic_capacity(kind: str, **params) -> CapacityReport:
     """Closed-form capacities for the families that have them.
 
-    Kinds: erasure(p, d=2), phase_erasure(q, d=2), mixed_erasure(p, q,
-    d=2), amplitude_damping(gamma), depolarizing(p), bsc(p). Quantum
-    values are reported with the raw (unclamped) optimum in Q1_raw.
+    erasure, phase_erasure, mixed_erasure, amplitude_damping and
+    depolarizing take exactly make_channel's parameters, checked by the
+    same parser (qchan.channels.ChannelKind.parse). bsc(p), the classical
+    binary symmetric channel, takes bit_flip's. Quantum values are
+    reported with the raw (unclamped) optimum in Q1_raw.
     """
-
-    if kind in ("erasure", "phase_erasure", "mixed_erasure"):
-        shown = {"erasure": ("p",), "phase_erasure": ("q",), "mixed_erasure": ("p", "q")}[kind]
-        given = {name: _check_prob(name, params.pop(name)) for name in shown}
-        p, q = given.get("p", 0.0), given.get("q", 0.0)
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        if p + q > 1.0 + 1e-12:
-            raise InvalidParameter(f"p + q = {p + q:g} exceeds 1")
-        logd = math.log2(d)
+    shared = ("erasure", "phase_erasure", "mixed_erasure", "amplitude_damping", "depolarizing")
+    if kind not in shared + ("bsc",):
+        raise Unsupported(f"no closed form for kind {kind!r}")
+    values = CHANNEL_KINDS["bit_flip" if kind == "bsc" else kind].parse(kind, params)
+    if "d" in values:
+        p, q = values.get("p", 0.0), values.get("q", 0.0)
+        logd = math.log2(values["d"])
         raw = (1.0 - q - 2.0 * p) * logd
-        label = ",".join(f"{name}={v:g}" for name, v in given.items())
+        label = ",".join(f"{name}={v:g}" for name, v in values.items())
         return CapacityReport(
-            channel_label=f"analytic:{kind}({label},d={d})",
+            channel_label=f"analytic:{kind}({label})",
             chi=(1.0 - p) * logd,
             C_hsw=(1.0 - p) * logd,
             Q1=_clamp_zero(raw),
@@ -795,19 +795,12 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     if kind == "amplitude_damping":
         from scipy.optimize import minimize_scalar
 
-        gamma = _check_prob("gamma", params.pop("gamma")) if "gamma" in params else (
-            1.0 - _check_prob("p", params.pop("p")))
-        _reject_extra(params)
+        gamma = values["gamma"]
 
         def neg_q(tau):
-            return -(
-                float(binary_entropy((1.0 - gamma) * tau))
-                - float(binary_entropy(gamma * tau))
-            )
+            return float(binary_entropy(gamma * tau)) - float(binary_entropy((1.0 - gamma) * tau))
 
-        res = minimize_scalar(
-            neg_q, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-9}
-        )
+        res = minimize_scalar(neg_q, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-9})
         raw = -float(res.fun)
         if gamma >= 0.5:
             raw = min(raw, 0.0)
@@ -817,9 +810,8 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             Q1_raw=raw,
             notes=("closed form; maximized over the population parameter",),
         )
+    p = values["p"]
     if kind == "depolarizing":
-        p = _check_prob("p", params.pop("p"))
-        _reject_extra(params)
         c = 1.0 - float(binary_entropy(p / 2.0))
         return CapacityReport(
             channel_label=f"analytic:depolarizing(p={p:g})",
@@ -827,16 +819,12 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             C_hsw=c,
             notes=("closed form",),
         )
-    if kind == "bsc":
-        p = _check_prob("p", params.pop("p"))
-        _reject_extra(params)
-        return CapacityReport(
-            channel_label=f"analytic:bsc(p={p:g})",
-            chi=1.0 - float(binary_entropy(p)),
-            C_hsw=1.0 - float(binary_entropy(p)),
-            notes=("classical binary symmetric channel",),
-        )
-    raise Unsupported(f"no closed form for kind {kind!r}")
+    return CapacityReport(
+        channel_label=f"analytic:bsc(p={p:g})",
+        chi=1.0 - float(binary_entropy(p)),
+        C_hsw=1.0 - float(binary_entropy(p)),
+        notes=("classical binary symmetric channel",),
+    )
 
 
 def _pure_output_entropy(kraus, d: int):

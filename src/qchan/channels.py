@@ -12,8 +12,9 @@ entropy is a search over inputs and lives in qchan.capacity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -194,171 +195,150 @@ class QuantumChannel:
         return f"QuantumChannel({self.label!r}, {self.dim_in}->{self.dim_out}, kraus={nk})"
 
 
-def _check_prob(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameter(f"{name} = {value} outside [0, 1]")
-    return value
-
+# Largest dimension of a named channel: the scale qchan.qmath is written for
+MAX_DIM = 32
 
 # flag qubit states |0> and |1> as columns, for the erasure-type channels
 _FLAG0, _FLAG1 = np.eye(2, dtype=complex)[:, :1], np.eye(2, dtype=complex)[:, 1:]
 
 
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise InvalidParameter(f"unexpected parameters {sorted(params)}")
+def _number(name: str, value, lo: int, hi: int) -> float:
+    """value as a float in [lo, hi]; bools, non-numbers, NaN and infinities are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo <= value <= hi:
+        raise InvalidParameter(f"{name} = {value} must be a number in [{lo}, {hi}]")
+    return float(value)
+
+
+@dataclass(frozen=True)
+class ChannelKind:
+    """One row of CHANNEL_KINDS: a named channel's parameters, in order, and its builder.
+
+    Each parameter is a probability in [0, 1], except the dimension d: an
+    integer from d_min to MAX_DIM, default 2. They name the channel, as in
+    erasure(p=0.2,d=3). A qubit_only kind also takes d = 2 and leaves it out
+    of the name. complement may stand in for p as 1 - p. build maps the
+    values to Kraus operators, or to the AffineMap of the affine-only pancake.
+    """
+
+    params: Tuple[str, ...]
+    build: Callable
+    complement: Optional[str] = None
+    qubit_only: bool = False
+    d_min: int = 2
+
+    @property
+    def sweep(self) -> Optional[str]:
+        """The parameter a CLI --sweep varies: the complement, else the first probability."""
+        return self.complement or next((n for n in self.params if n != "d"), None)
+
+    def parse(self, kind: str, given: dict) -> dict:
+        """Values of params, d and the complement; InvalidParameter on any bad one.
+
+        A qubit_only kind at d != 2 raises Unsupported instead.
+        """
+        raw, values = dict(given), {}
+        if self.complement in raw:
+            if "p" in raw:
+                raise InvalidParameter(f"give either p or {self.complement}, not both")
+            values[self.complement] = _number(self.complement, raw.pop(self.complement), 0, 1)
+            raw["p"] = 1.0 - values[self.complement]
+        for name in self.params + ("d",) * self.qubit_only:
+            if name == "d":
+                d = _number("d", raw.pop("d", 2), self.d_min, MAX_DIM)
+                if not d.is_integer():
+                    raise InvalidParameter(f"d = {d} is not an integer")
+                values["d"] = int(d)
+            elif name in raw:
+                values[name] = _number(name, raw.pop(name), 0, 1)
+            else:
+                raise InvalidParameter(f"{kind} needs parameter {name}")
+        if raw:
+            raise InvalidParameter(f"unexpected parameters {sorted(raw)}")
+        if self.qubit_only and values["d"] != 2:
+            raise Unsupported(f"{kind} is defined for qubits only")
+        probs = {n: values[n] for n in self.params if n != "d"}
+        if sum(probs.values()) > 1.0 + 1e-12:
+            raise InvalidParameter(f"{' + '.join(probs)} = {sum(probs.values()):g} exceeds 1")
+        if self.complement:
+            values.setdefault(self.complement, 1.0 - values["p"])
+        return values
 
 
 def _erasure_ops(p: float, d: int) -> list:
     """sqrt(p) |e><k| for k < d: each input level goes to the erasure flag e = d."""
-    ops = [np.zeros((d + 1, d), dtype=complex) for _ in range(d)]
-    for k, op in enumerate(ops):
-        op[d, k] = np.sqrt(p)
-    return ops
+    return [np.sqrt(p) * np.outer(np.eye(d + 1)[d], row) for row in np.eye(d)]
 
 
-def _embed(d: int) -> np.ndarray:
-    """Isometry C^d -> C^(d+1) onto the first d levels."""
-    v = np.zeros((d + 1, d), dtype=complex)
-    v[:d, :] = np.eye(d)
-    return v
+def _flip(pauli: np.ndarray) -> Callable:
+    return lambda p: [np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * pauli]
 
 
-def make_channel(kind: str, **params) -> QuantumChannel:
-    """Construct a named channel.
+def _mixed_erasure(p: float, q: float) -> list:
+    v = np.eye(3, 2)  # C^2 into the first two levels of C^3
+    ops = [np.sqrt(max(1.0 - p - q, 0.0)) * np.kron(v, _FLAG0)]
+    ops.append(np.sqrt(q / 2.0) * np.kron(v, _FLAG1))
+    ops.append(np.sqrt(q / 2.0) * np.kron(v @ PAULI_Z, _FLAG1))
+    return ops + [np.kron(op, _FLAG0) for op in _erasure_ops(p, 2)]
 
-    Supported kinds and parameters:
 
-    - identity(d=2)
-    - bit_flip(p), phase_flip(p), bit_phase_flip(p), dephasing(p)
-    - depolarizing(p): N(rho) = p I/2 + (1-p) rho
-    - amplitude_damping(p) or amplitude_damping(gamma): p is the
-      probability the |0> component survives, gamma = 1 - p the damping
-      rate; decay direction is toward |1>
-    - erasure(p, d=2): output dimension d+1 with erasure flag |e>
-    - phase_erasure(q): qubit only, output dimension 4 with a flag qubit
-    - mixed_erasure(p, q): erase with probability p, phase-erase with
-      probability q, p + q <= 1
-    - measure_prepare: computational-basis measure-and-resend
-    - pancake: affine-only (x, y, z) -> (x, y, 0), not completely positive
-    """
-    if kind == "identity":
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        if d < 1:
-            raise InvalidParameter(f"d = {d} must be positive")
-        return QuantumChannel(
-            [np.eye(d)], d, d, label=f"identity(d={d})", kind="identity", params={"d": d}
-        )
-
-    if kind in ("bit_flip", "phase_flip", "bit_phase_flip", "dephasing"):
-        p = _check_prob("p", params.pop("p"))
-        _reject_extra(params)
-        pauli = {
-            "bit_flip": PAULI_X,
-            "phase_flip": PAULI_Z,
-            "dephasing": PAULI_Z,
-            "bit_phase_flip": PAULI_Y,
-        }[kind]
-        ops = [np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * pauli]
-        return QuantumChannel(
-            ops, 2, 2, label=f"{kind}(p={p:g})", kind=kind, params={"p": p}
-        )
-
-    if kind == "depolarizing":
-        p = _check_prob("p", params.pop("p"))
-        _reject_extra(params)
-        ops = [
-            np.sqrt(1.0 - 0.75 * p) * PAULI_I,
-            np.sqrt(0.25 * p) * PAULI_X,
-            np.sqrt(0.25 * p) * PAULI_Y,
-            np.sqrt(0.25 * p) * PAULI_Z,
-        ]
-        return QuantumChannel(
-            ops, 2, 2, label=f"depolarizing(p={p:g})", kind=kind, params={"p": p}
-        )
-
-    if kind == "amplitude_damping":
-        if "gamma" in params and "p" in params:
-            raise InvalidParameter("give either p or gamma, not both")
-        if "gamma" in params:
-            p = 1.0 - _check_prob("gamma", params.pop("gamma"))
-        else:
-            p = _check_prob("p", params.pop("p"))
-        _reject_extra(params)
-        a1 = np.array([[np.sqrt(p), 0.0], [0.0, 1.0]], dtype=complex)
-        a2 = np.array([[0.0, 0.0], [np.sqrt(1.0 - p), 0.0]], dtype=complex)
-        return QuantumChannel(
-            [a1, a2], 2, 2, label=f"amplitude_damping(p={p:g})", kind=kind, params={"p": p}
-        )
-
-    if kind == "erasure":
-        p = _check_prob("p", params.pop("p"))
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        if d < 2:
-            raise InvalidParameter(f"d = {d} must be at least 2")
-        v = _embed(d)
-        ops = [np.sqrt(1.0 - p) * v] + _erasure_ops(p, d)
-        return QuantumChannel(
-            ops, d, d + 1, label=f"erasure(p={p:g},d={d})", kind=kind, params={"p": p, "d": d}
-        )
-
-    if kind == "phase_erasure":
-        q = _check_prob("q", params.pop("q"))
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        if d != 2:
-            raise Unsupported("phase_erasure is defined for qubits only")
-        ops = [
+# The one list of named channels: make_channel, the kind form of channel
+# JSON, analytic_capacity and the CLI all read it
+CHANNEL_KINDS = {
+    "identity": ChannelKind(("d",), lambda d: [np.eye(d)], d_min=1),
+    "bit_flip": ChannelKind(("p",), _flip(PAULI_X)),
+    "phase_flip": ChannelKind(("p",), _flip(PAULI_Z)),
+    "bit_phase_flip": ChannelKind(("p",), _flip(PAULI_Y)),
+    "dephasing": ChannelKind(("p",), _flip(PAULI_Z)),
+    # N(rho) = p I/2 + (1 - p) rho
+    "depolarizing": ChannelKind(
+        ("p",),
+        lambda p: [np.sqrt(1.0 - 0.75 * p) * PAULI_I] + [np.sqrt(p / 4) * s for s in _PAULIS[1:]],
+    ),
+    # p is the probability the |0> component survives, gamma = 1 - p the
+    # damping rate; decay is toward |1>
+    "amplitude_damping": ChannelKind(
+        ("p",),
+        lambda p: [np.diag([np.sqrt(p), 1.0]), np.sqrt(1.0 - p) * np.eye(2, k=-1)],
+        complement="gamma",
+    ),
+    # output dimension d + 1: the input levels, then the erasure flag |e> = |d>
+    "erasure": ChannelKind(
+        ("p", "d"), lambda p, d: [np.sqrt(1.0 - p) * np.eye(d + 1, d)] + _erasure_ops(p, d)
+    ),
+    # output dimension 4: the input qubit and a flag qubit
+    "phase_erasure": ChannelKind(
+        ("q",),
+        lambda q: [
             np.sqrt(1.0 - q) * np.kron(PAULI_I, _FLAG0),
             np.sqrt(q / 2.0) * np.kron(PAULI_I, _FLAG1),
             np.sqrt(q / 2.0) * np.kron(PAULI_Z, _FLAG1),
-        ]
-        return QuantumChannel(
-            ops, 2, 4, label=f"phase_erasure(q={q:g})", kind=kind, params={"q": q, "d": 2}
-        )
+        ],
+        qubit_only=True,
+    ),
+    # erase with probability p, phase-erase with probability q
+    "mixed_erasure": ChannelKind(("p", "q"), _mixed_erasure, qubit_only=True),
+    # computational-basis measure-and-resend
+    "measure_prepare": ChannelKind((), lambda: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+    # affine-only (x, y, z) -> (x, y, 0), not completely positive
+    "pancake": ChannelKind((), lambda: AffineMap(np.diag([1.0, 1.0, 0.0]), np.zeros(3))),
+}
 
-    if kind == "mixed_erasure":
-        p = _check_prob("p", params.pop("p"))
-        q = _check_prob("q", params.pop("q"))
-        d = int(params.pop("d", 2))
-        _reject_extra(params)
-        if d != 2:
-            raise Unsupported("mixed_erasure is defined for qubits only")
-        if p + q > 1.0 + 1e-12:
-            raise InvalidParameter(f"p + q = {p + q:g} exceeds 1")
-        v = _embed(d)
-        ops = [np.sqrt(max(1.0 - p - q, 0.0)) * np.kron(v, _FLAG0)]
-        ops.append(np.sqrt(q / 2.0) * np.kron(v, _FLAG1))
-        ops.append(np.sqrt(q / 2.0) * np.kron(v @ PAULI_Z, _FLAG1))
-        ops += [np.kron(op, _FLAG0) for op in _erasure_ops(p, d)]
-        return QuantumChannel(
-            ops,
-            d,
-            2 * (d + 1),
-            label=f"mixed_erasure(p={p:g},q={q:g})",
-            kind=kind,
-            params={"p": p, "q": q, "d": d},
-        )
 
-    if kind == "measure_prepare":
-        _reject_extra(params)
-        p0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        p1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-        return QuantumChannel(
-            [p0, p1], 2, 2, label="measure_prepare", kind=kind, params={}
-        )
-
-    if kind == "pancake":
-        _reject_extra(params)
-        aff = AffineMap(np.diag([1.0, 1.0, 0.0]), np.zeros(3))
-        return QuantumChannel(
-            None, 2, 2, label="pancake", kind=kind, params={}, affine=aff
-        )
-
-    raise Unsupported(f"unknown channel kind {kind!r}")
+def make_channel(kind: str, **params) -> QuantumChannel:
+    """The named channel of CHANNEL_KINDS; its params keep p, not the complement gamma."""
+    if not isinstance(kind, str) or kind not in CHANNEL_KINDS:
+        raise Unsupported(f"unknown channel kind {kind!r}")
+    row = CHANNEL_KINDS[kind]
+    values = row.parse(kind, params)
+    args = [values[n] for n in row.params]
+    shown = ",".join(f"{n}={v:g}" for n, v in zip(row.params, args))
+    label = f"{kind}({shown})" if shown else kind
+    params = {n: v for n, v in values.items() if n != row.complement}
+    built = row.build(*args)
+    if isinstance(built, AffineMap):
+        return QuantumChannel(None, 2, 2, label=label, kind=kind, params=params, affine=built)
+    d_out, d_in = np.shape(built[0])
+    return QuantumChannel(built, d_in, d_out, label=label, kind=kind, params=params)
 
 
 def from_kraus(kraus, dim_in=None, dim_out=None, label="custom") -> QuantumChannel:
@@ -468,18 +448,12 @@ def complementary(channel: QuantumChannel) -> QuantumChannel:
     """
     if channel.kraus is None:
         raise InvalidChannel("affine-only channel has no complementary map")
-    kraus = channel.kraus
-    n_env = len(kraus)
-    ops = []
-    for b in range(channel.dim_out):
-        op = np.empty((n_env, channel.dim_in), dtype=complex)
-        for i, k in enumerate(kraus):
-            op[i, :] = k[b, :]
-        ops.append(op)
+    # operator b stacks row b of every Kraus operator
+    ops = np.asarray(channel.kraus).transpose(1, 0, 2)
     return QuantumChannel(
         ops,
         channel.dim_in,
-        n_env,
+        len(channel.kraus),
         label=f"comp({channel.label})",
         kind="complementary",
         params=dict(channel.params),
@@ -678,7 +652,7 @@ def channel_from_json(data: dict, strict: bool = True) -> QuantumChannel:
     explicit {"label", "dim_in", "dim_out", "kraus": [{"re", "im"}, ...]}
     form. In strict mode the explicit form must be CPTP.
     """
-    if "kind" in data:
+    if isinstance(data, dict) and "kind" in data:
         params = {k: v for k, v in data.items() if k not in ("kind", "label")}
         return make_channel(data["kind"], **params)
     try:

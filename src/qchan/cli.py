@@ -23,29 +23,17 @@ from . import repeater as rep
 from . import zero_error as ze
 from .errors import InvalidParameter, SolverError, ValidationError
 
-CHANNEL_KINDS = (
-    "identity",
-    "bit_flip",
-    "phase_flip",
-    "bit_phase_flip",
-    "dephasing",
-    "depolarizing",
-    "amplitude_damping",
-    "erasure",
-    "phase_erasure",
-    "mixed_erasure",
-    "measure_prepare",
-    "pancake",
-)
-
 CAPACITY_COLUMNS = ("kind", "param") + cap.REPORT_FIELDS
 RATE_COLUMNS = ("F0", "P0", "n", "Z_n", "R_n", "R_approx")
 ZERO_ERROR_COLUMNS = ("graph", "n", "K", "rate", "witness")
 SIM_COLUMNS = ("trial", "seed", "outcome", "rounds", "raw_pairs", "final_fidelity")
 
-_SWEEP_PARAM = {"amplitude_damping": "gamma", "phase_erasure": "q"}
 # Most points a --sweep may ask for
 SWEEP_LIMIT = 10_000
+# One --option per channel parameter of the table, which checks the values
+_PARAMETERS = tuple(
+    dict.fromkeys(n for k in ch.CHANNEL_KINDS.values() for n in (*k.params, k.complement) if n)
+)
 
 
 def _parse_distance(text: str) -> float:
@@ -100,21 +88,23 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _channel_params(args) -> dict:
-    values = {name: getattr(args, name, None) for name in ("p", "gamma", "q", "d")}
-    return {name: value for name, value in values.items() if value is not None}
+    return {name: getattr(args, name) for name in _PARAMETERS if getattr(args, name) is not None}
+
+
+def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as err:
+        raise InvalidParameter(f"cannot read {path}: {err}") from err
 
 
 def _build_channel(args) -> ch.QuantumChannel:
     if getattr(args, "channel_file", None):
-        with open(args.channel_file, "r", encoding="utf-8") as handle:
-            return ch.channel_from_json(json.load(handle))
+        return ch.channel_from_json(_load_json(args.channel_file))
     if getattr(args, "kind", None):
         return ch.make_channel(args.kind, **_channel_params(args))
     raise InvalidParameter("give --kind or --channel-file")
-
-
-def _optimizer_config(args) -> cap.OptimizerConfig:
-    return cap.OptimizerConfig(seed=args.seed)
 
 
 def _capacity_report_dict(report: cap.CapacityReport) -> dict:
@@ -196,19 +186,20 @@ def _capacity_targets(args):
         return
     if not args.kind:
         raise InvalidParameter("give --kind or --channel-file")
-    name = _SWEEP_PARAM.get(args.kind, "p")
-    if args.sweep:
-        base = {k: v for k, v in _channel_params(args).items() if k == "d"}
-        for value in _parse_sweep(args.sweep):
-            yield value, ch.make_channel(args.kind, **base, **{name: value})
-    else:
-        params = _channel_params(args)
+    name = ch.CHANNEL_KINDS[args.kind].sweep
+    params = _channel_params(args)
+    if not args.sweep:
         yield params.get(name), ch.make_channel(args.kind, **params)
+        return
+    if name is None:
+        raise InvalidParameter(f"{args.kind} has no parameter to sweep")
+    for value in _parse_sweep(args.sweep):
+        yield value, ch.make_channel(args.kind, **{**params, name: value})
 
 
 def _cmd_capacity(args) -> str:
     measures = tuple(args.measure.split(","))
-    cfg = _optimizer_config(args)
+    cfg = cap.OptimizerConfig(seed=args.seed)
     rows = []
     reports = []
     for value, channel in _capacity_targets(args):
@@ -231,8 +222,7 @@ def _cmd_zero_error(args) -> str:
         graph = ze.pentagon_graph()
         label = "pentagon"
     elif args.graph:
-        with open(args.graph, "r", encoding="utf-8") as handle:
-            graph = ze.graph_from_json(json.load(handle))
+        graph = ze.graph_from_json(_load_json(args.graph))
         label = args.graph
     elif args.kind or args.channel_file:
         channel = _build_channel(args)
@@ -243,7 +233,7 @@ def _cmd_zero_error(args) -> str:
 
     hsw_upper = None
     if channel is not None and channel.kraus is not None:
-        hsw_upper = cap.hsw_numeric(channel, _optimizer_config(args)).C_hsw
+        hsw_upper = cap.hsw_numeric(channel, cap.OptimizerConfig(seed=args.seed)).C_hsw
 
     report = ze.zero_error_lower_bound(graph, args.uses, hsw_upper=hsw_upper)
     data = {
@@ -265,14 +255,12 @@ def _cmd_zero_error(args) -> str:
 
 
 def _repeater_config(args, p0: float) -> rep.RepeaterConfig:
-    l0 = _parse_distance(args.l0)
-    return rep.RepeaterConfig(
-        L=l0 * args.segments,
-        segments=args.segments,
-        P0=p0,
-        eta=args.eta,
-        F0=args.f0,
+    # checked at L = l0 first, so a segment count past the float range is
+    # refused before l0 * segments would overflow
+    cfg = rep.RepeaterConfig(
+        L=_parse_distance(args.l0), segments=args.segments, P0=p0, eta=args.eta, F0=args.f0
     )
+    return dataclasses.replace(cfg, L=cfg.L * cfg.segments)
 
 
 def _cmd_repeater_rate(args) -> str:
@@ -297,6 +285,8 @@ def _cmd_repeater_rate(args) -> str:
 
 
 def _cmd_repeater_sim(args) -> str:
+    if args.trials < 1:
+        raise InvalidParameter(f"--trials {args.trials} must be at least 1")
     cfg = _repeater_config(args, args.p0)
     traces = [
         rep.simulate_schedule(
@@ -322,11 +312,9 @@ def _cmd_repeater_sim(args) -> str:
 
 
 def _add_channel_options(sub, with_sweep: bool) -> None:
-    sub.add_argument("--kind", choices=CHANNEL_KINDS)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--d", type=int)
+    sub.add_argument("--kind", choices=tuple(ch.CHANNEL_KINDS))
+    for name in _PARAMETERS:
+        sub.add_argument(f"--{name}", type=float)
     sub.add_argument("--channel-file", metavar="JSON")
     if with_sweep:
         sub.add_argument("--sweep", metavar="START:END:STEP")

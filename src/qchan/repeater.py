@@ -31,6 +31,8 @@ SIGNAL_SPEED = 2e8  # meters/second in fiber
 POLICIES = ("symmetric", "pumping", "greedy", "banded")
 # Most terms expected_rounds sums of its survival series
 SERIES_TERMS = 10_000_000
+# Most doubling levels: 2^n segments must stay inside the float range
+MAX_LEVELS = 1023
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -68,8 +70,9 @@ class RepeaterConfig:
     def __post_init__(self):
         if not math.isfinite(self.L) or self.L <= 0:
             raise InvalidParameter(f"distance {self.L} must be positive and finite")
-        if self.segments < 1 or self.segments & (self.segments - 1):
-            raise InvalidParameter(f"segments = {self.segments} is not a power of two")
+        n = self.segments
+        if n < 1 or n & (n - 1) or self.levels > MAX_LEVELS:
+            raise InvalidParameter(f"segments = {n} is not a power of two up to 2^{MAX_LEVELS}")
         _check_unit("P0", self.P0)
         _check_unit("eta", self.eta)
         _check_unit("F0", self.F0)
@@ -192,6 +195,8 @@ def expected_rounds(n: int, P0: float) -> float:
     """
     if n < 0:
         raise InvalidLevel(f"levels {n} is negative")
+    if n > MAX_LEVELS:
+        raise TooLarge(f"2^{n} segments exceed the float range (levels up to {MAX_LEVELS})")
     P0 = _check_unit("P0", P0)
     if P0 == 0.0:
         raise Divergent("success probability 0 never completes")
@@ -212,7 +217,7 @@ def expected_rounds(n: int, P0: float) -> float:
         # 1e-15 of the total, by then above H_m / lam > (ln m + 0.577) / lam; up to
         # k = ln(m) / lam every term exceeds 1/2, so none stops it earlier
         lam = -math.log1p(-P0)
-        tail = math.log(m * lam / (1e-15 * (math.log(m) + 0.577)))
+        tail = math.log(m) + math.log(lam / (1e-15 * (math.log(m) + 0.577)))
         needed = max(math.log(m), tail) / lam + 1.0
         if needed > SERIES_TERMS:
             raise TooLarge(

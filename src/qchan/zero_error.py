@@ -140,9 +140,7 @@ def strong_product(g: ConfusabilityGraph, n: int) -> ConfusabilityGraph:
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
-    size = g.vertex_count**n
-    if size > _PRODUCT_VERTEX_LIMIT:
-        raise TooLarge(f"{g.vertex_count}^{n} = {size} vertices exceeds {_PRODUCT_VERTEX_LIMIT}")
+    _require_size(g.vertex_count, n, _PRODUCT_VERTEX_LIMIT, "the strong-product limit")
     loop = g.adjacency | np.eye(g.vertex_count, dtype=bool)
     acc = loop.astype(np.uint8)
     for _ in range(n - 1):
@@ -172,9 +170,13 @@ def _greedy_independent_set(full: int, masks) -> int:
     return chosen
 
 
-def _require_exact_size(nv: int) -> None:
-    if nv > _EXACT_MIS_LIMIT:
-        raise TooLarge(f"{nv} vertices exceeds the exact-search limit {_EXACT_MIS_LIMIT}")
+def _require_size(nv: int, n: int, limit: int, what: str) -> None:
+    """TooLarge when nv^n vertices exceed limit, found without forming nv^n for large n."""
+    # past `cap` uses, nv >= 2 already gives nv^cap > limit
+    cap = limit.bit_length()
+    if nv ** min(n, cap) > limit:
+        shown = nv**n if n <= cap else f"{nv}^{n}"
+        raise TooLarge(f"{shown} vertices exceeds {what} {limit}")
 
 
 def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
@@ -189,7 +191,7 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     edge-free before returning.
     """
     nv = g.vertex_count
-    _require_exact_size(nv)
+    _require_size(nv, 1, _EXACT_MIS_LIMIT, "the exact-search limit")
     if nv == 0:
         return 0, ()
 
@@ -260,7 +262,7 @@ def zero_error_lower_bound(
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
     # refuse before strong_product builds the dense power
-    _require_exact_size(g.vertex_count**n)
+    _require_size(g.vertex_count, n, _EXACT_MIS_LIMIT, "the exact-search limit")
     g_n = strong_product(g, n) if n > 1 else g
     alpha, witness = max_independent_set(g_n)
     rate = math.log2(alpha) / n

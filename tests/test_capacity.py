@@ -62,6 +62,10 @@ class TestOptimizerConfig:
         with pytest.raises(InvalidParameter):
             OptimizerConfig(restarts=restarts)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameter):
+            OptimizerConfig(seed=-1)
+
 
 class TestSeededStarts:
     def test_fixed_starts_then_seeded_draws(self):
@@ -585,6 +589,36 @@ class TestAnalytic:
     def test_out_of_range_parameter_rejected(self):
         with pytest.raises(InvalidParameter):
             analytic_capacity("erasure", p=1.5)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("erasure", {}),
+        ("bsc", {}),
+        ("depolarizing", {"p": "abc"}),
+        ("depolarizing", {"p": None}),
+        ("phase_erasure", {"q": float("nan")}),
+        ("amplitude_damping", {"gamma": float("inf")}),
+        ("erasure", {"p": 0.2, "d": 2.7}),
+        ("erasure", {"p": 0.2, "d": 10**9}),
+        ("erasure", {"p": 0.2, "d": 1}),
+        ("bsc", {"p": 0.2, "d": 2}),
+    ])
+    def test_malformed_parameter_rejected(self, kind, params):
+        with pytest.raises(InvalidParameter):
+            analytic_capacity(kind, **params)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("phase_erasure", {"q": 0.3, "d": 3}),
+        ("mixed_erasure", {"p": 0.2, "q": 0.3, "d": 4}),
+    ])
+    def test_qubit_only_families_refuse_other_dimensions(self, kind, params):
+        """As make_channel does: these families are defined for qubits only."""
+        with pytest.raises(Unsupported):
+            analytic_capacity(kind, **params)
+
+    def test_damping_takes_p_as_the_complement_of_gamma(self):
+        by_p = analytic_capacity("amplitude_damping", p=0.7)
+        assert by_p.channel_label == "analytic:amplitude_damping(gamma=0.3)"
+        assert np.isclose(by_p.Q1, analytic_capacity("amplitude_damping", gamma=0.3).Q1, atol=1e-12)
 
 
 def _qudit_smin_panel():

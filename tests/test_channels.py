@@ -28,7 +28,7 @@ from qchan import (
     to_bloch,
 )
 from qchan.capacity import _pure_output_entropy
-from qchan.channels import AffineMap, _max_output_radius
+from qchan.channels import CHANNEL_KINDS, MAX_DIM, AffineMap, _max_output_radius
 from qchan.errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -113,6 +113,23 @@ class TestConstructors:
         ch = make_channel("erasure", p=0.5, d=3)
         assert (ch.dim_in, ch.dim_out) == (3, 4)
 
+    def test_qubit_only_kinds_keep_d_out_of_the_label(self):
+        ch = make_channel("phase_erasure", q=0.3)
+        assert ch.label == "phase_erasure(q=0.3)"
+        assert ch.params == {"q": 0.3, "d": 2}
+        with pytest.raises(Unsupported):
+            make_channel("mixed_erasure", p=0.2, q=0.3, d=3)
+
+    def test_damping_keeps_p_when_given_gamma(self):
+        ch = make_channel("amplitude_damping", gamma=0.3)
+        assert ch.label == "amplitude_damping(p=0.7)"
+        assert ch.params == {"p": 0.7}
+
+    def test_integral_dimension_may_be_a_float(self):
+        ch = make_channel("identity", d=3.0)
+        assert ch.params == {"d": 3}
+        assert ch.label == "identity(d=3)"
+
     def test_from_kraus_infers_dimensions(self):
         ch = from_kraus([np.eye(3)])
         assert (ch.dim_in, ch.dim_out) == (3, 3)
@@ -136,6 +153,72 @@ class TestConstructors:
     def test_non_finite_kraus_rejected(self, bad):
         with pytest.raises(InvalidChannel):
             from_kraus([[[bad, 0.0], [0.0, 1.0]]])
+
+
+# Malformed parameters every entry point must refuse with InvalidParameter
+MALFORMED = [
+    ("depolarizing", {}),
+    ("erasure", {"d": 3}),
+    ("mixed_erasure", {"p": 0.2}),
+    ("depolarizing", {"p": "abc"}),
+    ("depolarizing", {"p": "0.2"}),
+    ("depolarizing", {"p": None}),
+    ("depolarizing", {"p": True}),
+    ("depolarizing", {"p": float("nan")}),
+    ("depolarizing", {"p": float("inf")}),
+    ("amplitude_damping", {"gamma": float("-inf")}),
+    ("phase_erasure", {"q": [0.3]}),
+    ("identity", {"d": 2.7}),
+    ("identity", {"d": 0}),
+    ("erasure", {"p": 0.2, "d": 10**9}),
+    ("erasure", {"p": 0.2, "d": 10**400}),
+    ("identity", {"d": MAX_DIM + 1}),
+    ("identity", {"d": float("nan")}),
+    ("erasure", {"p": 0.2, "d": None}),
+]
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("kind,params", MALFORMED)
+    def test_make_channel_refuses(self, kind, params):
+        with pytest.raises(InvalidParameter):
+            make_channel(kind, **params)
+
+    @pytest.mark.parametrize("kind,params", MALFORMED)
+    def test_channel_json_refuses(self, kind, params):
+        with pytest.raises(InvalidParameter):
+            channel_from_json({"kind": kind, **params})
+
+    @pytest.mark.parametrize("data", [{"kind": "teleporter"}, {"kind": ["identity"]}])
+    def test_channel_json_refuses_unknown_kind(self, data):
+        with pytest.raises(Unsupported):
+            channel_from_json(data)
+
+    @pytest.mark.parametrize("data", ["kind", 5, None, ["kind"]])
+    def test_channel_json_refuses_a_non_object(self, data):
+        with pytest.raises(InvalidChannel):
+            channel_from_json(data)
+
+    def test_largest_dimension_is_built(self):
+        assert make_channel("identity", d=MAX_DIM).dim_in == MAX_DIM
+
+    def test_sweep_parameters(self):
+        sweeps = {kind: row.sweep for kind, row in CHANNEL_KINDS.items()}
+        assert sweeps["amplitude_damping"] == "gamma"
+        assert sweeps["phase_erasure"] == "q"
+        assert sweeps["mixed_erasure"] == "p"
+        assert sweeps["depolarizing"] == "p"
+        assert [k for k, name in sweeps.items() if name is None] == [
+            "identity", "measure_prepare", "pancake"
+        ]
+
+    def test_every_row_builds_at_its_defaults(self):
+        defaults = {"p": 0.2, "q": 0.3}
+        for kind, row in CHANNEL_KINDS.items():
+            params = {n: defaults[n] for n in row.params if n != "d"}
+            ch = make_channel(kind, **params)
+            assert ch.kind == kind
+            assert set(ch.params) == set(row.params) | ({"d"} if row.qubit_only else set())
 
 
 class TestApply:

@@ -513,3 +513,71 @@ def test_pure_output_entropies_print_positive_zero(capsys):
     assert code == 0
     assert '"min_output_entropy": 0.0,' in out
     assert math.copysign(1.0, json.loads(out)["min_output_entropy"]) == 1.0
+
+
+# Malformed commands, each with the exit code it must give: 2 for invalid
+# input, 1 for a request past a size limit (TooLarge). "{file}" stands for a
+# file holding the given text, or a missing file when the text is None.
+MALFORMED_COMMANDS = [
+    (("capacity", "--kind", "depolarizing"), None, 2),
+    (("capacity", "--kind", "identity", "--d", "2.7"), None, 2),
+    (("capacity", "--kind", "identity", "--d", "1e9"), None, 2),
+    (("capacity", "--kind", "depolarizing", "--p", "nan"), None, 2),
+    (("capacity", "--kind", "depolarizing", "--p", "inf"), None, 2),
+    (("capacity", "--kind", "identity", "--sweep", "0:1:0.5"), None, 2),
+    (("capacity", "--kind", "mixed_erasure", "--sweep", "0:0.5:0.25"), None, 2),
+    (("capacity", "--channel-file", "{file}"), '{"kind": "depolarizing", "p": "abc"}', 2),
+    (("capacity", "--channel-file", "{file}"), '{"kind": "depolarizing", "p": null}', 2),
+    (("capacity", "--channel-file", "{file}"), '{"kind": "depolarizing", "p": NaN}', 2),
+    (("capacity", "--channel-file", "{file}"), '{"kind": "identity", "d": 2.7}', 2),
+    (("capacity", "--channel-file", "{file}"), '{"kind": "identity", "d": 1000000000}', 2),
+    (("capacity", "--channel-file", "{file}"), '{"kind": "depolarizing", "p": 0.2', 2),
+    (("capacity", "--channel-file", "{file}"), '"kind"', 2),
+    (("capacity", "--channel-file", "{file}"), None, 2),
+    (("capacity", "--kind", "depolarizing", "--p", "0.2", "--seed", "-1"), None, 2),
+    (("zero-error", "--kind", "dephasing", "--p", "0.3", "--seed", "-1"), None, 2),
+    (("repeater-sim", "--policy", "greedy", "--target", "0.95", "--trials", "0"), None, 2),
+    (("repeater-sim", "--policy", "greedy", "--target", "0.95", "--trials", "0",
+      "--trace", "{file}"), "", 2),
+    (("repeater-rate", "--segments", str(2**1100), "--l0", "20km"), None, 2),
+    (("zero-error", "--graph", "pentagon", "--uses", str(10**8)), None, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,text,code",
+    MALFORMED_COMMANDS,
+    ids=[" ".join(argv)[:60] + (f" <{text}>" if text else "") for argv, text, _ in MALFORMED_COMMANDS],
+)
+def test_malformed_command_exits_cleanly(tmp_path, argv, text, code):
+    """No malformed command may end in a traceback: each prints one error line."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    out = _run_cli_process(*argv, timeout=60)
+    assert out.returncode == code
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_mixed_erasure_sweep_holds_the_other_probability(capsys):
+    code, out, _ = run(
+        capsys, "capacity", "--kind", "mixed_erasure", "--q", "0.3", "--sweep", "0:0.5:0.25",
+        "--format", "json",
+    )
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["param"] for r in reports] == [0.0, 0.25, 0.5]
+    assert [r["channel_label"] for r in reports][1] == "mixed_erasure(p=0.25,q=0.3)"
+
+
+def test_kind_choices_come_from_the_table(capsys):
+    from qchan.channels import CHANNEL_KINDS
+
+    with pytest.raises(SystemExit):
+        main(["capacity", "--kind", "bsc", "--p", "0.1"])
+    for kind, row in CHANNEL_KINDS.items():
+        if row.sweep is None:
+            assert main(["capacity", "--kind", kind, "--sweep", "0:1:1"]) == 2

@@ -21,6 +21,7 @@ from qchan import (
     trace_events_jsonl,
     trace_to_json,
 )
+from qchan.repeater import MAX_LEVELS
 from qchan.errors import (
     DegenerateLoss,
     DegeneratePair,
@@ -240,6 +241,11 @@ class TestExpectedRounds:
         exact = sum(math.comb(m, i) * (-1) ** (i + 1) / (1 - q**i) for i in range(1, m + 1))
         assert math.isclose(expected_rounds(n, 1e-3), float(exact), rel_tol=1e-9)
 
+    def test_levels_past_the_float_range_refused(self):
+        assert math.isfinite(expected_rounds(MAX_LEVELS, 0.5))
+        with pytest.raises(TooLarge):
+            expected_rounds(1100, 0.5)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidLevel):
             expected_rounds(-1, 0.5)
@@ -280,6 +286,11 @@ class TestConfig:
     def test_rejects_non_power_of_two_segments(self):
         with pytest.raises(InvalidParameter):
             RepeaterConfig(L=1000.0, segments=3, P0=0.1, eta=0.5, F0=0.9)
+
+    def test_segments_past_the_float_range_refused(self):
+        RepeaterConfig(L=1000.0, segments=2**MAX_LEVELS, P0=0.1, eta=0.5, F0=0.9)
+        with pytest.raises(InvalidParameter):
+            RepeaterConfig(L=1000.0, segments=2**1100, P0=0.1, eta=0.5, F0=0.9)
 
     def test_rejects_non_positive_distance(self):
         with pytest.raises(InvalidParameter):

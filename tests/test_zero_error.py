@@ -122,8 +122,14 @@ class TestStrongProduct:
             strong_product(pentagon_graph(), 0)
 
     def test_vertex_budget_enforced(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="390625 vertices exceeds the strong-product limit"):
             strong_product(pentagon_graph(), 8)
+
+    def test_many_uses_refused_without_forming_the_power(self):
+        with pytest.raises(TooLarge, match=r"5\^10000 vertices exceeds the strong-product limit"):
+            strong_product(pentagon_graph(), 10_000)
+        with pytest.raises(TooLarge, match=r"5\^10000 vertices exceeds the exact-search limit 130"):
+            zero_error_lower_bound(pentagon_graph(), 10_000)
 
 
 class TestMaxIndependentSet:
