@@ -222,7 +222,11 @@ def _cmd_zero_error(args) -> str:
         graph = ze.pentagon_graph()
         label = "pentagon"
     elif args.graph:
-        graph = ze.graph_from_json(_load_json(args.graph))
+        data = _load_json(args.graph)
+        labels = data.get("labels") if isinstance(data, dict) else None
+        if isinstance(labels, list) and labels:  # refused before graph_from_json allocates n x n
+            ze._require_size(len(labels), args.uses, ze._EXACT_MIS_LIMIT, "the exact-search limit")
+        graph = ze.graph_from_json(data)
         label = args.graph
     elif args.kind or args.channel_file:
         channel = _build_channel(args)
@@ -245,6 +249,7 @@ def _cmd_zero_error(args) -> str:
         "rate": report.rate,
         "witness": list(report.witness),
         "notes": list(report.notes),
+        "nodes": report.nodes,
     }
     if hsw_upper is not None:
         data["hsw_upper"] = float(hsw_upper)

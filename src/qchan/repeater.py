@@ -166,14 +166,20 @@ def swap_pair(F: float) -> float:
     return F * F + (1.0 - F) * (1.0 - F)
 
 
+def _check_levels(n: int) -> None:
+    if n < 0:
+        raise InvalidLevel(f"levels {n} is negative")
+    if n > MAX_LEVELS:
+        raise TooLarge(f"2^{n} segments exceed the float range (levels up to {MAX_LEVELS})")
+
+
 def swap_level_stats(n: int, i: int) -> Dict[str, int]:
     """Resource counts at swap level i of an n-level doubling architecture.
 
     spanned: segments bridged by one pair; shared_pairs: pairs alive at
     that level; freed: stations released so far (cumulative).
     """
-    if n < 0:
-        raise InvalidLevel(f"levels {n} is negative")
+    _check_levels(n)
     if not 0 <= i <= n:
         raise InvalidLevel(f"level {i} outside [0, {n}]")
     return {
@@ -193,10 +199,7 @@ def expected_rounds(n: int, P0: float) -> float:
     series that would need more than SERIES_TERMS terms raises TooLarge
     before its first term, so no sum is ever truncated.
     """
-    if n < 0:
-        raise InvalidLevel(f"levels {n} is negative")
-    if n > MAX_LEVELS:
-        raise TooLarge(f"2^{n} segments exceed the float range (levels up to {MAX_LEVELS})")
+    _check_levels(n)
     P0 = _check_unit("P0", P0)
     if P0 == 0.0:
         raise Divergent("success probability 0 never completes")

@@ -76,6 +76,7 @@ class ZeroErrorReport:
     rate: float
     witness: Tuple[str, ...] = ()
     notes: tuple = field(default_factory=tuple)
+    nodes: int = 0  # calls of the search's expand, summed over the searches run
 
 
 def non_adjacent(channel: QuantumChannel, rho1, rho2) -> bool:
@@ -190,22 +191,22 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     fixed, so results are deterministic; the witness is re-verified
     edge-free before returning.
     """
+    return _search(g)[:2]
+
+
+def _search(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...], int]:
+    """max_independent_set plus the count of nodes it expanded."""
     nv = g.vertex_count
     _require_size(nv, 1, _EXACT_MIS_LIMIT, "the exact-search limit")
-    if nv == 0:
-        return 0, ()
-
     order = sorted(range(nv), key=lambda v: (-g.degree(v), v))
-    pos = {v: k for k, v in enumerate(order)}
-    masks = [0] * nv
-    for i, j in g.edges():
-        masks[pos[i]] |= 1 << pos[j]
-        masks[pos[j]] |= 1 << pos[i]
+    rows = g.adjacency[np.ix_(order, order)].tolist()
+    masks = [sum(1 << k for k, edge in enumerate(row) if edge) for row in rows]
     full = (1 << nv) - 1
     comp = [full & ~masks[v] & ~(1 << v) for v in range(nv)]
 
     best_mask = _greedy_independent_set(full, masks)
     best_size = best_mask.bit_count()
+    nodes = 0
 
     def color_sort(cand: int):
         """Candidates in ascending greedy-color order with their colors."""
@@ -226,7 +227,8 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
         return vs, colors
 
     def expand(cur_mask: int, cur_size: int, cand: int):
-        nonlocal best_size, best_mask
+        nonlocal best_size, best_mask, nodes
+        nodes += 1
         vs, colors = color_sort(cand)
         for i in range(len(vs) - 1, -1, -1):
             if cur_size + colors[i] <= best_size:
@@ -244,10 +246,33 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     expand(0, 0, full)
 
     witness = tuple(sorted(order[k] for k in range(nv) if best_mask >> k & 1))
-    for a, b in itertools.combinations(witness, 2):
-        if g.is_edge(a, b):
-            raise AssertionError("witness is not independent")
-    return best_size, witness
+    _check_independent(g, witness)
+    return best_size, witness, nodes
+
+
+def _check_independent(g: ConfusabilityGraph, witness: Sequence[int]) -> None:
+    if g.adjacency[np.ix_(witness, witness)].any():
+        raise AssertionError("witness is not independent")
+
+
+def _vertex_transitive(g: ConfusabilityGraph) -> bool:
+    """True when automorphisms map vertex 0 to every vertex, found by backtracking."""
+    rows = g.adjacency.tolist()
+    deg = [sum(r) for r in rows]
+
+    def extend(images) -> bool:
+        # images[u] is the image of vertex u; vertex k's image keeps its
+        # degree and its adjacency to every vertex already placed
+        k = len(images)
+        return k == len(rows) or any(
+            w not in images
+            and deg[w] == deg[k]
+            and all(rows[k][u] == rows[w][x] for u, x in enumerate(images))
+            and extend(images + [w])
+            for w in range(len(rows))
+        )
+
+    return bool(rows) and all(extend([v]) for v in range(1, len(rows)))
 
 
 def zero_error_lower_bound(
@@ -264,9 +289,18 @@ def zero_error_lower_bound(
     # refuse before strong_product builds the dense power
     _require_size(g.vertex_count, n, _EXACT_MIS_LIMIT, "the exact-search limit")
     g_n = strong_product(g, n) if n > 1 else g
-    alpha, witness = max_independent_set(g_n)
-    rate = math.log2(alpha) / n
     notes = ["lower bound from finite block length; rate <= zero-error capacity"]
+    if n > 1 and _vertex_transitive(g):
+        # Aut(G)^n is transitive on G^n, so vertex 0 is in some maximum independent set
+        rest = np.flatnonzero(~g_n.adjacency[0])[1:]
+        sub = ConfusabilityGraph(rest, g_n.adjacency[np.ix_(rest, rest)])
+        alpha, sub_witness, nodes = _search(sub)
+        alpha, witness = alpha + 1, (0, *(int(rest[v]) for v in sub_witness))
+        _check_independent(g_n, witness)
+        notes.append(f"vertex-transitive base: {g_n.labels[0]} fixed")
+    else:
+        alpha, witness, nodes = _search(g_n)
+    rate = math.log2(alpha) / n
     if hsw_upper is not None:
         if rate <= hsw_upper + 1e-3:
             notes.append(f"ordering holds: rate <= classical capacity {hsw_upper:.6f}")
@@ -280,6 +314,7 @@ def zero_error_lower_bound(
         rate=rate,
         witness=tuple(g_n.labels[v] for v in witness),
         notes=tuple(notes),
+        nodes=nodes,
     )
 
 
@@ -296,14 +331,16 @@ def graph_to_json(g: ConfusabilityGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> ConfusabilityGraph:
-    labels = data.get("labels")
-    if not labels:
-        raise InvalidParameter("graph JSON needs a non-empty 'labels' list")
+    data = data if isinstance(data, dict) else {}
+    labels, edges = data.get("labels"), data.get("edges", [])
+    if not (isinstance(labels, list) and labels and isinstance(edges, list)):
+        raise InvalidParameter('graph JSON must be {"labels": [...], "edges": [[i, j], ...]}')
     n = len(labels)
     adj = np.zeros((n, n), dtype=bool)
-    for pair in data.get("edges", []):
-        i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise InvalidParameter(f"bad edge {pair}")
-        adj[i, j] = adj[j, i] = True
+    for pair in edges:
+        # exact ints only: JSON true/false are bools and 1.7 a float, neither an index
+        ok = isinstance(pair, list) and len(pair) == 2
+        if not (ok and all(type(k) is int and 0 <= k < n for k in pair)) or pair[0] == pair[1]:
+            raise InvalidParameter(f"bad edge {pair!r}: need two distinct indices below {n}")
+        adj[pair[0], pair[1]] = adj[pair[1], pair[0]] = True
     return ConfusabilityGraph(labels, adj)

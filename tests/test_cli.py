@@ -262,6 +262,29 @@ class TestZeroErrorVerb:
         (row,) = csv_rows(out)
         assert row["K"] == "2"
 
+    def test_json_reports_search_nodes_and_fixed_vertex(self, capsys):
+        code, out, _ = run(capsys, "zero-error", "--graph", "pentagon", "--uses", "2", "--format", "json")
+        assert code == 0
+        info = json.loads(out)
+        assert info["K"] == 5
+        assert isinstance(info["nodes"], int) and info["nodes"] > 0
+        assert info["witness"][0] == "(v0,v0)"
+        assert "vertex-transitive base: (v0,v0) fixed" in info["notes"]
+
+    def test_oversized_graph_file_refused_before_it_is_built(self, capsys, tmp_path, monkeypatch):
+        from qchan import zero_error
+
+        def unexpected(data):
+            raise AssertionError("graph_from_json called for a refused request")
+
+        monkeypatch.setattr(zero_error, "graph_from_json", unexpected)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"labels": [f"u{k}" for k in range(5000)], "edges": []}))
+        code, out, err = run(capsys, "zero-error", "--graph", str(path))
+        assert code == 1
+        assert out == ""
+        assert "5000 vertices exceeds the exact-search limit 130" in err
+
     def test_no_input_exits_two(self, capsys):
         code, _, err = run(capsys, "zero-error")
         assert code == 2
@@ -541,6 +564,11 @@ MALFORMED_COMMANDS = [
       "--trace", "{file}"), "", 2),
     (("repeater-rate", "--segments", str(2**1100), "--l0", "20km"), None, 2),
     (("zero-error", "--graph", "pentagon", "--uses", str(10**8)), None, 1),
+    (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": [["x", 1]]}', 2),
+    (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": [[0]]}', 2),
+    (("zero-error", "--graph", "{file}"), '{"labels": 5}', 2),
+    (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": 7}', 2),
+    (("zero-error", "--graph", "{file}"), '["a", "b"]', 2),
 ]
 
 

@@ -188,6 +188,12 @@ class TestSwapLevelStats:
         with pytest.raises(InvalidLevel):
             swap_level_stats(-1, 0)
 
+    def test_levels_past_the_float_range_refused(self):
+        assert swap_level_stats(MAX_LEVELS, 0)["spanned"] == 1
+        for n in (MAX_LEVELS + 1, 10**7):
+            with pytest.raises(TooLarge, match="levels up to 1023"):
+                swap_level_stats(n, 0)
+
 
 class TestExpectedRounds:
     @pytest.mark.parametrize("key,expected", sorted(EXPECTED_ROUNDS.items()))

@@ -30,6 +30,34 @@ def complete_graph(m):
     return ConfusabilityGraph([f"u{k}" for k in range(m)], adj)
 
 
+def graph_of_edges(m, edges):
+    adj = np.zeros((m, m), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return ConfusabilityGraph([f"v{k}" for k in range(m)], adj)
+
+
+def cycle_graph(m):
+    return graph_of_edges(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_of_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def pauli_graph(kind):
+    return confusability_graph(make_channel(kind, p=0.3) if kind != "identity" else make_channel(kind))
+
+
+def assert_independent_in(g, labels):
+    idx = {lab: k for k, lab in enumerate(g.labels)}
+    members = [idx[lab] for lab in labels]
+    assert len(set(members)) == len(members)
+    assert not g.adjacency[np.ix_(members, members)].any()
+
+
 class TestGraphType:
     def test_rejects_asymmetric_adjacency(self):
         adj = np.zeros((2, 2), dtype=bool)
@@ -247,3 +275,103 @@ class TestGraphJson:
     def test_rejects_self_loop_edge(self):
         with pytest.raises(InvalidParameter):
             graph_from_json({"labels": ["a", "b"], "edges": [[1, 1]]})
+
+    @pytest.mark.parametrize("data", [
+        {"labels": ["a", "b"], "edges": [["x", 1]]},
+        {"labels": ["a", "b"], "edges": [[0]]},
+        {"labels": ["a", "b"], "edges": [[0, 1, 1]]},
+        {"labels": ["a", "b"], "edges": [[0, 1.7]]},
+        {"labels": ["a", "b"], "edges": [[0, 1.0]]},
+        {"labels": ["a", "b"], "edges": [[0, True]]},
+        {"labels": ["a", "b"], "edges": [[0, None]]},
+        {"labels": ["a", "b"], "edges": [7]},
+        {"labels": ["a", "b"], "edges": 7},
+        {"labels": ["a", "b"], "edges": {"0": 1}},
+        {"labels": 5},
+        {"labels": "ab"},
+        {"labels": []},
+        ["a", "b"],
+        "graph",
+        None,
+    ])
+    def test_rejects_malformed_input(self, data):
+        with pytest.raises(InvalidParameter):
+            graph_from_json(data)
+
+
+class TestVertexTransitive:
+    @pytest.mark.parametrize("g", [
+        cycle_graph(5), cycle_graph(11), petersen_graph(), complete_graph(6), empty_graph(4),
+        pauli_graph("depolarizing"), pauli_graph("identity"),
+    ], ids=["C5", "C11", "petersen", "K6", "edgeless", "depolarizing", "identity"])
+    def test_transitive_graphs(self, g):
+        assert zero_error._vertex_transitive(g)
+
+    def test_path_is_not_transitive(self):
+        assert not zero_error._vertex_transitive(graph_of_edges(3, [(0, 1), (1, 2)]))
+
+    def test_bit_flip_graph_is_not_transitive(self):
+        assert not zero_error._vertex_transitive(pauli_graph("bit_flip"))
+
+    def test_regular_graph_that_is_not_transitive(self):
+        # cubic, so a degree filter passes every vertex, but vertex 1 lies on
+        # two triangles, (0,1,2) and (1,2,3), and vertex 0 on one only
+        chords = [(0, 2), (1, 3), (4, 6), (5, 7)]
+        g = graph_of_edges(8, [(i, (i + 1) % 8) for i in range(8)] + chords)
+        assert all(g.degree(v) == 3 for v in range(8))
+        assert not zero_error._vertex_transitive(g)
+
+
+class TestSymmetricSearch:
+    @pytest.mark.parametrize("g", [
+        cycle_graph(5), cycle_graph(7), cycle_graph(9), complete_graph(3), empty_graph(3),
+        complete_graph(4), pauli_graph("depolarizing"), pauli_graph("identity"),
+    ], ids=["C5", "C7", "C9", "K3", "edgeless", "complete", "depolarizing", "identity"])
+    def test_same_alpha_as_the_full_search(self, g):
+        rep = zero_error_lower_bound(g, 2)
+        g2 = strong_product(g, 2)
+        assert rep.K == max_independent_set(g2)[0]
+        assert len(rep.witness) == rep.K
+        assert rep.witness[0] == g2.labels[0]
+        assert_independent_in(g2, rep.witness)
+        assert f"vertex-transitive base: {g2.labels[0]} fixed" in rep.notes
+
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_odd_cycle_squares(self, m):
+        k = m // 2
+        assert zero_error_lower_bound(cycle_graph(m), 2).K == k * m // 2
+
+    def test_petersen_square(self):
+        rep = zero_error_lower_bound(petersen_graph(), 2)
+        assert rep.K == 16
+        assert_independent_in(strong_product(petersen_graph(), 2), rep.witness)
+
+    def test_pentagon_cube_node_budget(self):
+        # the full search expands 717,637 nodes; fixing vertex 0 about 60,000
+        rep = zero_error_lower_bound(pentagon_graph(), 3)
+        assert rep.K == 10
+        assert 0 < rep.nodes <= 100_000
+
+    def test_single_use_searches_the_whole_graph(self):
+        rep = zero_error_lower_bound(pentagon_graph(), 1)
+        assert rep.nodes > 0
+        assert not any("vertex-transitive" in note for note in rep.notes)
+
+    def test_bit_flip_takes_the_plain_path(self):
+        g = pauli_graph("bit_flip")
+        rep = zero_error_lower_bound(g, 2)
+        assert rep.K == max_independent_set(strong_product(g, 2))[0] == 4
+        assert not any("vertex-transitive" in note for note in rep.notes)
+
+    def test_random_bases_take_the_plain_path(self, rng):
+        # the draws of test_at_least_product_of_factors, none of them transitive
+        for _ in range(5):
+            adj = rng.random((6, 6)) < 0.4
+            adj = np.triu(adj, 1)
+            adj = adj | adj.T
+            g = ConfusabilityGraph([f"u{k}" for k in range(6)], adj)
+            g2 = strong_product(g, 2)
+            rep = zero_error_lower_bound(g, 2)
+            assert rep.K == max_independent_set(g2)[0]
+            assert_independent_in(g2, rep.witness)
+            assert not any("vertex-transitive" in note for note in rep.notes)
