@@ -56,13 +56,14 @@ _SLOPE_RADIUS = 1.0 - 1e-15
 # quantum_capacity_single_use and entanglement_assisted maximize
 _COHERENT = (0.0, 1.0, -1.0)
 _MUTUAL = (1.0, 1.0, -1.0)
+# Members of the pure-input ensembles that hsw_numeric and private_information search
+_ENSEMBLE_SIZE = 4
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs shared by the numeric solvers."""
 
-    max_inputs: int = 4
     restarts: int = 32
     tolerance: float = 1e-6
     seed: int = 0
@@ -201,110 +202,23 @@ def _seeded_starts(cfg: OptimizerConfig, fixed, draw: Callable):
         yield fixed[k] if k < len(fixed) else draw(rng)
 
 
-def _unpack_bloch_ensemble(t: np.ndarray, m: int):
-    xs = t[: 3 * m].reshape(m, 3)
-    norms = np.maximum(np.linalg.norm(xs, axis=1), 1e-12)
-    us = xs / norms[:, None]
-    w = _softmax(t[3 * m :])
-    return us, w, norms
-
-
-def _qubit_neg_chi(a: np.ndarray, b: np.ndarray, m: int) -> Callable:
-    """-chi of an m-member ensemble of pure qubit inputs, with its gradient.
-
-    The objective takes t = (x_1..x_m, logits): input Bloch directions
-    u_k = x_k / |x_k| and softmax weights w. For the channel r -> A r + b,
-    -chi = sum_k w_k S(r_k) - S(R) with r_k = |A u_k + b| and R the radius
-    of the weighted mean output. The gradient uses dS/dr = -atanh(r)/ln 2.
-    """
-    a_t = a.T
-
-    def neg_chi(t):
-        us, w, norms = _unpack_bloch_ensemble(t, m)
-        outs = us @ a_t + b
-        avg = w @ outs
-        rads = np.sqrt(np.concatenate(((outs * outs).sum(axis=1), [avg @ avg])))
-        ent = 1.0 - _bloch_negentropy(rads)
-        value = float(w @ ent[:m] - ent[m])
-        # (dS/dr) / r per output; outputs at r = 0 are the zero vector,
-        # so any finite factor gives them a zero gradient
-        slope = -np.arctanh(np.minimum(rads, _SLOPE_RADIUS)) / (_LN2 * np.maximum(rads, _TINY))
-        d_outs = w[:, None] * (slope[:m, None] * outs - slope[m] * avg)
-        d_us = d_outs @ a
-        d_xs = (d_us - us * (us * d_us).sum(axis=1)[:, None]) / norms[:, None]
-        d_w = ent[:m] - slope[m] * (outs @ avg)
-        return value, np.concatenate((d_xs.reshape(-1), w * (d_w - w @ d_w)))
-
-    return neg_chi
-
-
-def _hsw_qubit(channel: QuantumChannel, cfg: OptimizerConfig):
-    from scipy.optimize import minimize
-
-    aff = affine_representation(channel)
-    m = max(2, int(cfg.max_inputs))
-    neg_chi = _qubit_neg_chi(aff.A, aff.b, m)
-
-    # axis pairs, then random directions and logits
-    axes = np.array(
-        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
-    fixed = [
-        np.concatenate([axes[np.resize(pick, m)].reshape(-1), np.zeros(m)])
-        for pick in ([0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5], [0, 1, 0, 1])
-    ]
-    opts = {"maxiter": 300, "ftol": 1e-13, "gtol": 1e-9}
-    starts = _seeded_starts(
-        cfg,
-        fixed,
-        lambda rng: np.concatenate([rng.standard_normal(3 * m), 0.1 * rng.standard_normal(m)]),
-    )
-    ms = _MultiStart(cfg).run(neg_chi, starts, options=opts)
-
-    # prune negligible members, then polish once more
-    us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
-    keep = w > 1e-4
-    if keep.sum() >= 1 and keep.sum() < m:
-        us = np.concatenate([us[keep], us[[0] * (m - int(keep.sum()))]])
-        w = np.concatenate([w[keep], np.zeros(m - int(keep.sum()))])
-        w = w / w.sum()
-        logits = np.log(np.maximum(w, 1e-12))
-        t0 = np.concatenate([us.reshape(-1), logits])
-        res = minimize(neg_chi, t0, method="L-BFGS-B", jac=True, options=opts)
-        ms.evaluations += int(res.nfev)
-        if float(res.fun) <= ms.best_val:
-            ms.best_x = np.asarray(res.x, dtype=float)
-            ms.best_val = float(res.fun)
-            ms.converged = bool(res.success)
-            ms.iterations += int(res.nit)
-
-    us, w, _ = _unpack_bloch_ensemble(ms.best_x, m)
-    keep = w > 1e-4
-    ensemble = Ensemble(w[keep] / w[keep].sum(), [from_bloch(u) for u in us[keep]])
-    return _clamp_zero(-ms.best_val), ensemble, ms.stats()
-
-
-def _basis_ensembles(d: int, m: int) -> list:
-    """Fixed starts of the pure-ensemble searches: basis states, then the uniform superposition."""
-    base = np.zeros(m * 2 * d)
-    base[np.arange(m) * 2 * d + np.arange(m) % d] = 1.0
-    uniform = np.tile(np.concatenate([np.ones(d), np.zeros(d)]) / math.sqrt(d), m)
-    return [np.concatenate([base, np.zeros(m)]), np.concatenate([uniform, np.zeros(m)])]
-
-
 def _unpack_vector_ensemble(t: np.ndarray, m: int, d: int):
-    """(states psi_k, weights w, norms |a_k|, live mask) of t = (x_1, y_1, ..., logits).
+    """(states psi_k, weights w, norms |a_k|) of t = (x_1, y_1, ..., logits).
 
-    Amplitudes a_k = x_k + i y_k; a member with |a_k| < 1e-12 is not live:
-    it becomes e_0 and its norm is reported as 1.
+    Amplitudes a_k = x_k + i y_k; a member with |a_k| < 1e-12 becomes e_0
+    and its norm is reported as inf, so a gradient divided by it vanishes.
     """
     seg = t[: 2 * m * d].reshape(m, 2, d)
-    amps = seg[:, 0] + 1j * seg[:, 1]
-    norms = np.linalg.norm(amps, axis=1)
-    live = norms >= 1e-12
-    psi = np.zeros((m, d), dtype=complex)
-    psi[:, 0] = 1.0
-    psi[live] = amps[live] / norms[live, None]
-    return psi, _softmax(t[2 * m * d :]), np.where(live, norms, 1.0), live
+    norms = np.sqrt((seg * seg).sum(axis=(1, 2)))
+    psi = seg[:, 0] + 1j * seg[:, 1]
+    if norms.min() >= 1e-12:
+        psi /= norms[:, None]
+    else:
+        dead = norms < 1e-12
+        norms[dead] = math.inf
+        psi /= norms[:, None]
+        psi[dead, 0] = 1.0
+    return psi, _softmax(t[2 * m * d :]), norms
 
 
 def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
@@ -318,63 +232,72 @@ def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
     of out_k and of avg, so the null-space block never reaches the gradient.
     """
     ks = np.asarray(kraus, dtype=complex)
-    ks_conj = ks.conj()
+    n, d_out = ks.shape[:2]
+    # the Kraus operators stacked as one (n d_out) x d matrix: K psi holds every v_ki
+    k_t = ks.reshape(n * d_out, d).T.copy()
+    k_conj2 = 2.0 * ks.reshape(n * d_out, d).conj()
+    outs = np.empty((m + 1, d_out, d_out), dtype=complex)  # out_1..out_m, then avg
 
     def neg_chi(t):
-        psi, w, norms, live = _unpack_vector_ensemble(t, m, d)
-        v = np.einsum("iod,kd->kio", ks, psi)
-        outs = np.einsum("kio,kip->kop", v, v.conj())
-        outs = np.concatenate((outs, np.tensordot(w, outs, axes=1)[None]))
+        psi, w, norms = _unpack_vector_ensemble(t, m, d)
+        v = (psi @ k_t).reshape(m, n, d_out)
+        np.matmul(v.transpose(0, 2, 1), v.conj(), out=outs[:m])
+        flat = outs[:m].reshape(m, -1)
+        outs[m] = (w @ flat).reshape(d_out, d_out)
         ent, logm = _entropy_and_log2(outs)
         mk = w[:, None, None] * (logm[m] - logm[:m])
-        g = 2.0 * np.einsum("iod,kio->kd", ks_conj, np.einsum("kop,kip->kio", mk, v))
+        g = (v @ mk.transpose(0, 2, 1)).reshape(m, -1) @ k_conj2
         g = (g - (psi.conj() * g).sum(axis=1).real[:, None] * psi) / norms[:, None]
-        g[~live] = 0.0
-        d_w = ent[:m] + np.einsum("op,kpo->k", logm[m], outs[:m]).real
-        grad = np.concatenate(
-            (np.stack((g.real, g.imag), axis=1).reshape(-1), w * (d_w - w @ d_w))
-        )
+        d_w = ent[:m] + (flat @ logm[m].T.reshape(-1)).real
+        grad = np.empty(2 * m * d + m)
+        members = grad[: 2 * m * d].reshape(m, 2, d)
+        members[:, 0], members[:, 1] = g.real, g.imag
+        grad[2 * m * d :] = w * (d_w - w @ d_w)
         return float(w @ ent[:m] - ent[m]), grad
 
     return neg_chi
 
 
-def _hsw_general(channel: QuantumChannel, cfg: OptimizerConfig):
-    d = channel.dim_in
-    m = max(2, int(cfg.max_inputs))
-    opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
-    neg_chi = _pure_ensemble_neg_chi(channel.kraus, m, d)
+def _ensemble_search(neg_value: Callable, d: int, cfg: OptimizerConfig) -> _MultiStart:
+    """_MultiStart of neg_value over ensembles of _ENSEMBLE_SIZE pure inputs of dimension d.
+
+    Starts: the basis states, then their uniform superposition (all members
+    with equal weights), then seeded draws.
+    """
+    m = _ENSEMBLE_SIZE
+    base = np.zeros(m * 2 * d)
+    base[np.arange(m) * 2 * d + np.arange(m) % d] = 1.0
+    uniform = np.tile(np.concatenate([np.ones(d), np.zeros(d)]) / math.sqrt(d), m)
     starts = _seeded_starts(
         cfg,
-        _basis_ensembles(d, m),
+        [np.concatenate([base, np.zeros(m)]), np.concatenate([uniform, np.zeros(m)])],
         lambda rng: np.concatenate([rng.standard_normal(2 * m * d), 0.1 * rng.standard_normal(m)]),
     )
-    ms = _MultiStart(cfg).run(neg_chi, starts, options=opts)
-    psi, w, _, _ = _unpack_vector_ensemble(ms.best_x, m, d)
-    keep = w > 1e-4
-    states = [DensityMatrix(np.outer(amp, amp.conj()), repair=True) for amp in psi[keep]]
-    return _clamp_zero(-ms.best_val), Ensemble(w[keep] / w[keep].sum(), states), ms.stats()
+    opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
+    return _MultiStart(cfg).run(neg_value, starts, options=opts)
 
 
 def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) -> CapacityReport:
     """Single-letter Holevo capacity by ensemble optimization.
 
-    Maximizes chi over ensembles of cfg.max_inputs pure input states with
-    free priors. Qubit-to-qubit channels run on a fast Bloch-coordinate
-    path; everything else uses explicit state vectors.
+    Maximizes chi over ensembles of four (_ENSEMBLE_SIZE) pure input states
+    with free priors, as state vectors for every channel, qubits included;
+    members of weight at most 1e-4 are left out of optimal_ensemble.
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    if channel.dim_in == 2 and channel.dim_out == 2:
-        chi, ensemble, stats = _hsw_qubit(channel, cfg)
-    else:
-        chi, ensemble, stats = _hsw_general(channel, cfg)
+    d = channel.dim_in
+    ms = _ensemble_search(_pure_ensemble_neg_chi(channel.kraus, _ENSEMBLE_SIZE, d), d, cfg)
+    psi, w, _ = _unpack_vector_ensemble(ms.best_x, _ENSEMBLE_SIZE, d)
+    keep = w > 1e-4
+    states = [DensityMatrix(np.outer(amp, amp.conj()), repair=True) for amp in psi[keep]]
+    chi = _clamp_zero(-ms.best_val)
     return CapacityReport(
         channel_label=channel.label,
         chi=chi,
         C_hsw=chi,
-        optimizer=stats,
-        optimal_ensemble=ensemble,
+        optimizer=ms.stats(),
+        optimal_ensemble=Ensemble(w[keep] / w[keep].sum(), states),
         notes=("single-letter value; lower bound on the regularized capacity",),
     )
 
@@ -743,21 +666,14 @@ def private_information(
     if channel.dim_in > 4:
         raise Unsupported("private-information solver handles input dimension <= 4")
     d = channel.dim_in
-    m = max(2, int(cfg.max_inputs))
-    chi_b = _pure_ensemble_neg_chi(channel.kraus, m, d)
-    chi_e = _pure_ensemble_neg_chi(complementary(channel).kraus, m, d)
+    chi_b = _pure_ensemble_neg_chi(channel.kraus, _ENSEMBLE_SIZE, d)
+    chi_e = _pure_ensemble_neg_chi(complementary(channel).kraus, _ENSEMBLE_SIZE, d)
 
     def neg_p(t):
         (val_b, grad_b), (val_e, grad_e) = chi_b(t), chi_e(t)
         return val_b - val_e, grad_b - grad_e
 
-    opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
-    starts = _seeded_starts(
-        cfg,
-        _basis_ensembles(d, m),
-        lambda rng: np.concatenate([rng.standard_normal(2 * m * d), 0.1 * rng.standard_normal(m)]),
-    )
-    ms = _MultiStart(cfg).run(neg_p, starts, options=opts)
+    ms = _ensemble_search(neg_p, d, cfg)
     return CapacityReport(
         channel_label=channel.label,
         P1=_clamp_zero(-ms.best_val),

@@ -286,6 +286,8 @@ def zero_error_lower_bound(
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
+    if g.vertex_count == 0:
+        raise InvalidParameter("the graph has no vertices, so no codeword exists")
     # refuse before strong_product builds the dense power
     _require_size(g.vertex_count, n, _EXACT_MIS_LIMIT, "the exact-search limit")
     g_n = strong_product(g, n) if n > 1 else g

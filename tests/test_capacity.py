@@ -33,7 +33,6 @@ from qchan.capacity import (
     _MultiStart,
     _min_entropy_report,
     _pure_ensemble_neg_chi,
-    _qubit_neg_chi,
     _seeded_starts,
     _state_neg_value,
 )
@@ -166,46 +165,15 @@ class TestHswNumeric:
             hsw_numeric(make_channel("identity", d=9))
 
 
-class TestQubitChiGradient:
-    """The analytic gradient of the qubit chi objective matches central differences."""
-
-    @pytest.mark.parametrize(
-        "channel",
-        [
-            make_channel("depolarizing", p=0.3),
-            make_channel("amplitude_damping", gamma=0.3),
-            random_cptp_channel(2, 2, 3, np.random.default_rng(7)),
-        ],
-        ids=["depolarizing", "amplitude_damping", "random"],
-    )
-    def test_matches_central_differences(self, channel):
-        aff = affine_representation(channel)
-        m = 4
-        neg_chi = _qubit_neg_chi(aff.A, aff.b, m)
-        rng = np.random.default_rng(11)
-        h = 1e-6
-        for _ in range(5):
-            t = np.concatenate([rng.standard_normal(3 * m), 0.5 * rng.standard_normal(m)])
-            _, grad = neg_chi(t)
-            central = np.array(
-                [(neg_chi(t + h * e)[0] - neg_chi(t - h * e)[0]) / (2 * h) for e in np.eye(t.size)]
-            )
-            assert np.allclose(grad, central, atol=1e-7)
-
-    def test_pure_output_keeps_a_finite_gradient(self):
-        # gamma = 0.3 sends the |0> input (Bloch +z) to the pure output at r = 1
-        aff = affine_representation(make_channel("amplitude_damping", gamma=0.3))
-        neg_chi = _qubit_neg_chi(aff.A, aff.b, 2)
-        value, grad = neg_chi(np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0]))
-        assert np.isfinite(value) and np.all(np.isfinite(grad))
-
-
 def _pure_kernel_channels():
     cases = [
         ("erasure", make_channel("erasure", p=0.3)),
         ("mixed_erasure", make_channel("mixed_erasure", p=0.2, q=0.3)),
         ("random_2_3", random_cptp_channel(2, 3, 2, np.random.default_rng(3))),
         ("random_3_2", random_cptp_channel(3, 2, 2, np.random.default_rng(4))),
+        ("depolarizing", make_channel("depolarizing", p=0.3)),
+        ("amplitude_damping", make_channel("amplitude_damping", gamma=0.3)),
+        ("random_2_2", random_cptp_channel(2, 2, 3, np.random.default_rng(7))),
     ]
     for name, ch in cases:
         yield pytest.param(ch, ch.kraus, id=f"{name}-channel")
@@ -241,6 +209,12 @@ class TestPureEnsembleChiGradient:
         # members e_0 and e_1 with equal weights: chi = (1 - p) bits
         assert np.isclose(value, -0.7, atol=1e-12)
         assert np.all(grad[:4] == 0.0)
+
+    def test_pure_output_keeps_a_finite_gradient(self):
+        # members |0> and |1>; damping toward |1> keeps |1>, so its output is pure
+        neg_chi = _pure_ensemble_neg_chi(make_channel("amplitude_damping", gamma=0.3).kraus, 2, 2)
+        value, grad = neg_chi(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 def _central_differences(fun, x, h=1e-6):
@@ -360,6 +334,15 @@ def _ensemble_chi(channel, report):
     return float(holevo_quantity(Ensemble(ens.weights, [apply(channel, s) for s in ens.states])))
 
 
+def test_hsw_numeric_on_the_qubit_panel():
+    reports = [(ch, hsw_numeric(ch, FAST)) for ch in _qubit_panel()]
+    for ch, rep in reports:
+        assert rep.optimizer.converged is True
+        assert rep.C_hsw - _ensemble_chi(ch, rep) <= 1e-9
+    # the Bloch-coordinate search this replaced spent 3,971 evaluations here
+    assert sum(rep.optimizer.evaluations for _, rep in reports) <= 3500
+
+
 class TestHswGeometricCertificate:
     NOTES = ("single-letter value; lower bound on the regularized capacity",)
 
@@ -414,7 +397,7 @@ class TestHswGeometricCertificate:
         def forbidden(*args, **kwargs):
             raise AssertionError("hsw_geometric called an ensemble solver")
 
-        for name in ("hsw_numeric", "_hsw_qubit", "_qubit_neg_chi", "_pure_ensemble_neg_chi"):
+        for name in ("hsw_numeric", "_ensemble_search", "_pure_ensemble_neg_chi"):
             monkeypatch.setattr(capacity, name, forbidden)
         rep = hsw_geometric(random_cptp_channel(2, 2, 3, np.random.default_rng(7)), FAST)
         assert rep.optimizer.achieved_tolerance <= 1e-6

@@ -245,6 +245,12 @@ class TestLowerBound:
         with pytest.raises(InvalidParameter):
             zero_error_lower_bound(pentagon_graph(), 0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_a_graph_without_vertices(self, n):
+        # the constructor accepts one: the symmetric search builds it on complete bases
+        with pytest.raises(InvalidParameter, match="no vertices"):
+            zero_error_lower_bound(empty_graph(0), n)
+
     def test_refuses_before_building_the_power(self, monkeypatch):
         # 6^5 = 7776 vertices: the dense power alone would take about 230 MB
         g = confusability_graph(make_channel("dephasing", p=0.3))
