@@ -136,9 +136,10 @@ class _MultiStart:
 
     Runs local refinements from the given starts in order, keeps the best
     result (earliest start wins ties), and stops early once at least 8
-    starts ran and 6 in a row failed to improve. Never exceeds
-    cfg.restarts starts. converged is the winner's success flag, or True
-    when a later start tied it within 1e-15 and converged.
+    starts ran and 6 in a row failed to improve on the best by more than
+    1e-12 * max(1, |best|). Never exceeds cfg.restarts starts. converged
+    is the winner's success flag, or True when a later start tied it
+    within 1e-15 and converged.
     """
 
     def __init__(self, cfg: OptimizerConfig):
@@ -166,17 +167,18 @@ class _MultiStart:
             self.iterations += int(res.nit)
             self.evaluations += int(res.nfev)
             val = float(res.fun)
+            # a rounding-level gain may take the lead, but does not restart the plateau
+            gained = val < self.best_val - 1e-12 * max(1.0, abs(val))
+            self._since_improve = 0 if gained else self._since_improve + 1
             if val < self.best_val - 1e-15:
                 self.runner_up = self.best_val
                 self.best_val = val
                 self.best_x = np.asarray(res.x, dtype=float)
                 self.converged = bool(res.success)
-                self._since_improve = 0
             else:
                 # a tie that converged confirms the optimum the winner found
                 self.converged |= val <= self.best_val + 1e-15 and bool(res.success)
                 self.runner_up = min(self.runner_up, val)
-                self._since_improve += 1
             if self.started >= 8 and self._since_improve >= 6:
                 break
         return self

@@ -40,6 +40,8 @@ from .qmath import (
 _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 CP_TOL = 1e-9
+# is_degradable calls a square superoperator beyond this condition number uninvertible
+DEGRADABLE_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -571,14 +573,14 @@ def _max_output_direction(aff: AffineMap) -> np.ndarray:
     return vecs @ (y / np.linalg.norm(y))
 
 
-def is_degradable(channel: QuantumChannel, cond_limit: float = 1e12) -> DegradabilityReport:
+def is_degradable(channel: QuantumChannel) -> DegradabilityReport:
     """Test whether the environment output can be produced from the channel output.
 
     Solves D o N = N_complementary for the degrading map D on
     superoperators and classifies D: if it is CPTP the channel is
     degradable. When the channel superoperator cannot be inverted
-    reliably (condition number beyond cond_limit, or no exact linear
-    solution in the non-square case) the status is "undetermined".
+    reliably (condition number beyond DEGRADABLE_COND_LIMIT, or no exact
+    linear solution in the non-square case) the status is "undetermined".
     """
     if channel.kraus is None:
         raise InvalidChannel("degradability needs a Kraus representation")
@@ -591,7 +593,7 @@ def is_degradable(channel: QuantumChannel, cond_limit: float = 1e12) -> Degradab
     sv = np.linalg.svd(m_n, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
     square = m_n.shape[0] == m_n.shape[1]
-    if square and cond > cond_limit:
+    if square and cond > DEGRADABLE_COND_LIMIT:
         return DegradabilityReport("undetermined", None, cond, math.inf)
 
     if square:

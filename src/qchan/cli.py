@@ -118,12 +118,6 @@ def _capacity_report_dict(report: cap.CapacityReport) -> dict:
             data[name] = float(value)
     if report.optimizer is not None:
         data["optimizer"] = dataclasses.asdict(report.optimizer)
-    if report.optimal_ensemble is not None:
-        ens = report.optimal_ensemble
-        data["optimal_ensemble"] = {
-            "weights": [float(w) for w in ens.weights],
-            "states": [rho.to_json() for rho in ens.states],
-        }
     return data
 
 

@@ -144,6 +144,18 @@ class TestHswNumeric:
         assert ms.best_x.tolist() == [0.0]
         assert ms.stats().converged is converged
 
+    @pytest.mark.parametrize("step,started", [(2e-15, 8), (1e-9, 16)])
+    def test_only_a_gain_past_rounding_restarts_the_plateau(self, monkeypatch, step, started):
+        # each start lands step below the one before: a rounding-level gain still
+        # takes the lead, but only a larger one keeps the search going
+        def scripted(fun, x0, **kwargs):
+            return OptimizeResult(fun=1.0 - step * x0[0], x=x0, success=True, nit=1, nfev=1)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", scripted)
+        ms = _MultiStart(FAST).run(None, [np.full(1, float(k)) for k in range(16)])
+        assert ms.started == started
+        assert ms.best_x.tolist() == [started - 1.0]
+
     def test_general_path_evaluation_guard(self):
         # finite differences spent 1,743 evaluations here
         assert hsw_numeric(make_channel("erasure", p=0.2)).optimizer.evaluations <= 300

@@ -350,13 +350,13 @@ class TestRepeaterRateVerb:
         assert code == 2
         assert "error" in err
 
-    def test_unsettled_survival_series_exits_one(self, capsys):
+    def test_rounds_past_the_float_range_exit_one(self, capsys):
         code, out, err = run(
-            capsys, "repeater-rate", "--segments", "64", "--l0", "20km", "--p0", "1e-7"
+            capsys, "repeater-rate", "--segments", "64", "--l0", "20km", "--p0", "1e-320"
         )
         assert code == 1
         assert out == ""
-        assert "terms" in err
+        assert "float range" in err
 
     @pytest.mark.parametrize("l0", ["nan", "inf", "nankm"])
     def test_non_finite_distance_exits_two(self, capsys, l0):

@@ -21,7 +21,7 @@ from qchan import (
     trace_events_jsonl,
     trace_to_json,
 )
-from qchan.repeater import MAX_LEVELS
+from qchan.repeater import CLOSED_FORM_P0, MAX_LEVELS
 from qchan.errors import (
     DegenerateLoss,
     DegeneratePair,
@@ -58,6 +58,14 @@ EXPECTED_ROUNDS = {
 }
 
 CFG = RepeaterConfig(L=20000.0, segments=1, P0=0.5, eta=0.5, F0=0.638)
+# the smallest P0 at which expected_rounds sums its survival series on long chains
+ABOVE_CLOSED_FORM = math.nextafter(CLOSED_FORM_P0, 1)
+
+
+def exact_rounds(n, p0):
+    """E[max of 2^n geometric(p0)] by inclusion-exclusion in exact rationals."""
+    m, q = 2**n, 1 - Fraction(p0)
+    return sum(math.comb(m, i) * (-1) ** (i + 1) / (1 - q**i) for i in range(1, m + 1))
 
 
 def replay(trace, f0):
@@ -201,23 +209,44 @@ class TestExpectedRounds:
         n, p0 = key
         assert np.isclose(expected_rounds(n, p0), expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("p0", [1e-9, 1e-6])
+    @pytest.mark.parametrize("p0", [1e-9, 1e-6, 1e-300])
     def test_tiny_success_probability_keeps_full_precision(self, p0):
         # 1 - q**i cancelled here: 3e-7 relative error at P0 = 1e-9
-        m, q = 16, 1 - Fraction(p0)
-        exact = sum(math.comb(m, i) * (-1) ** (i + 1) / (1 - q**i) for i in range(1, m + 1))
-        assert math.isclose(expected_rounds(4, p0), float(exact), rel_tol=1e-12)
+        assert math.isclose(expected_rounds(4, p0), float(exact_rounds(4, p0)), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n,p0", [(0, 1e-320), (1, 1e-320), (4, 1e-308), (5, 5e-324)])
+    def test_rounds_past_the_float_range_refused(self, n, p0):
+        # Z is above 1.8e308, and the alternating sum's terms overflow before it
+        with pytest.raises(TooLarge, match="exceed the float range"):
+            expected_rounds(n, p0)
 
     def test_certain_success_takes_one_round(self):
         for n in (0, 1, 3, 5):
             assert expected_rounds(n, 1.0) == 1.0
 
-    def test_survival_series_matches_tail_sum(self):
-        # independent form: E[max] = sum_k P(max > k)
-        for n, p0 in [(5, 0.2), (6, 0.5)]:
-            m, q = 2**n, 1.0 - p0
-            reference = sum(1.0 - (1.0 - q**k) ** m for k in range(0, 5000))
-            assert np.isclose(expected_rounds(n, p0), reference, rtol=1e-12)
+    @pytest.mark.parametrize(
+        "n,p0",
+        [(5, 0.2), (6, 0.5)]
+        + [(n, p0) for n in (5, 6, 10) for p0 in (CLOSED_FORM_P0, ABOVE_CLOSED_FORM)],
+    )
+    def test_survival_series_matches_tail_sum(self, n, p0):
+        # independent form: E[max] = sum_k P(max > k), on both sides of CLOSED_FORM_P0
+        m, q = 2**n, 1.0 - p0
+        reference = sum(1.0 - (1.0 - q**k) ** m for k in range(0, 5000))
+        assert math.isclose(expected_rounds(n, p0), reference, rel_tol=1e-12)
+
+    def test_closed_form_remainder_is_negligible(self):
+        # the dropped sum (2/lam) sum_j |B(i y_j, m + 1)|, y_j = 2 pi j / lam, with
+        # |B(iy, m + 1)| = (1/y) prod_k (1 + y^2/k^2)^(-1/2): at m = 32 it bounds
+        # every m >= 32, and it only shrinks as lam falls below its value here
+        m = 32
+        lam = -math.log1p(-CLOSED_FORM_P0)
+        ys = [2 * math.pi * j / lam for j in range(1, 40)]  # term j falls like j^-33
+        bound = (2 / lam) * math.fsum(
+            math.exp(-0.5 * sum(math.log1p((y / k) ** 2) for k in range(1, m + 1))) / y for y in ys
+        )
+        z = math.fsum(1 / k for k in range(1, m + 1)) / lam + 0.5
+        assert bound <= 1e-16 * z
 
     def test_monotone_in_levels(self):
         vals = [expected_rounds(n, 0.3) for n in range(7)]
@@ -232,20 +261,23 @@ class TestExpectedRounds:
         with pytest.raises(Divergent):
             expected_rounds(2, 0.0)
 
-    @pytest.mark.parametrize("n,p0", [(6, 1e-7), (5, 1e-300)])
-    def test_unsettled_survival_series_refused_up_front(self, n, p0):
-        # (6, 1e-7) needs about 2e8 terms, and summing 1e7 of them took seconds;
-        # at P0 = 1e-300 the first term was a math domain error
+    @pytest.mark.parametrize(
+        "n,p0",
+        [(5, 1e-3), (6, 1e-3), (6, 1e-7), (5, 1e-6), (5, 1e-4), (6, 1e-5), (5, 1e-300)],
+    )
+    def test_long_chains_match_exact_rationals(self, n, p0):
+        # at (6, 1e-7) a survival series would need 2e8 terms
         start = time.perf_counter()
-        with pytest.raises(TooLarge):
-            expected_rounds(n, p0)
-        assert time.perf_counter() - start < 0.5
+        value = expected_rounds(n, p0)
+        assert time.perf_counter() - start < 0.01
+        assert math.isclose(value, float(exact_rounds(n, p0)), rel_tol=1e-12)
 
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_survival_series_matches_exact_rationals(self, n):
-        m, q = 2**n, 1 - Fraction(1e-3)
-        exact = sum(math.comb(m, i) * (-1) ** (i + 1) / (1 - q**i) for i in range(1, m + 1))
-        assert math.isclose(expected_rounds(n, 1e-3), float(exact), rel_tol=1e-9)
+    def test_longest_series_agrees_with_the_closed_form(self):
+        # just above CLOSED_FORM_P0 at n = MAX_LEVELS the series runs its most terms
+        m, lam = 2**MAX_LEVELS, -math.log1p(-ABOVE_CLOSED_FORM)
+        harmonic = math.log(m) + 0.5772156649015329
+        value = expected_rounds(MAX_LEVELS, ABOVE_CLOSED_FORM)
+        assert math.isclose(value, harmonic / lam + 0.5, rel_tol=1e-12)
 
     def test_levels_past_the_float_range_refused(self):
         assert math.isfinite(expected_rounds(MAX_LEVELS, 0.5))
