@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DegenerateLoss,
@@ -96,8 +96,7 @@ class RateReport:
     R_n_approx: float
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     round: int
     action: str  # generate | purify | discard
     inputs: Tuple[int, ...]
@@ -247,63 +246,28 @@ def generation_rate(cfg: RepeaterConfig) -> RateReport:
     return RateReport(
         T0=t0,
         Z_n=z_n,
-        R_n=1.0 / (t0 * z_n),
+        R_n=1.0 / t0 / z_n,  # t0 * z_n can overflow where the rate does not
         R_n_approx=(cfg.P0 / t0) * (2.0 / 3.0) ** n,
     )
 
 
-class _Pool:
-    """Live pairs keyed by creation id (insertion-ordered)."""
-
-    def __init__(self):
-        self.pairs: Dict[int, List] = {}  # id -> [fidelity, level, birth_round]
-        self.next_id = 0
-
-    def add(self, fidelity: float, level: int, rnd: int) -> int:
-        pid = self.next_id
-        self.next_id += 1
-        self.pairs[pid] = [fidelity, level, rnd]
-        return pid
-
-    def remove(self, pid: int) -> None:
-        del self.pairs[pid]
-
-    def by_level(self) -> Dict[int, List[int]]:
-        groups: Dict[int, List[int]] = {}
-        for pid, (f, level, birth) in self.pairs.items():
-            groups.setdefault(level, []).append(pid)
-        return groups
-
-    def best_two(self, ids=None) -> Optional[Tuple[int, int]]:
-        pool = list(self.pairs) if ids is None else list(ids)
-        if len(pool) < 2:
-            return None
-        pool.sort(key=lambda pid: (-self.pairs[pid][0], pid))
-        return pool[0], pool[1]
+def _check_count(name: str, value, least: int = 0) -> int:
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+        raise InvalidParameter(f"{name} = {value!r} must be an integer of at least {least}")
+    return value.__index__()
 
 
-def _pick_purify(policy, pool: _Pool, band_of) -> Optional[Tuple[int, int]]:
-    if policy == "symmetric":
-        groups = pool.by_level()
-        for level in sorted(groups):
-            if len(groups[level]) >= 2:
-                return tuple(sorted(groups[level])[:2])
-        return None
-    if policy == "pumping":
-        if len(pool.pairs) >= 2:
-            ids = sorted(pool.pairs)
-            return ids[0], ids[-1]
-        return None
-    if policy == "greedy":
-        return pool.best_two()
-    # banded: highest occupied band with two members
-    bands: Dict[int, List[int]] = {}
-    for pid, (f, level, birth) in pool.pairs.items():
-        bands.setdefault(band_of(f), []).append(pid)
-    for b in sorted(bands, reverse=True):
-        if len(bands[b]) >= 2:
-            return pool.best_two(bands[b])
-    return None
+def _best_two(members) -> Tuple[int, int]:
+    """Ids of the two highest fidelities among (pid, fidelity) in pid order, lower id on ties."""
+    (a, fa), (b, fb) = members[0], members[1]
+    if fb > fa:
+        a, fa, b, fb = b, fb, a, fa
+    for pid, f in members[2:]:
+        if f > fa:
+            a, fa, b, fb = pid, f, a, fa
+        elif f > fb:
+            b, fb = pid, f
+    return a, b
 
 
 def simulate_schedule(
@@ -331,7 +295,8 @@ def simulate_schedule(
     and purification succeed, giving the deterministic resource counts.
 
     The run ends with outcome "reached" when a purified pair meets the
-    target, or "exhausted" at the round cap or the raw-pair budget.
+    target, or "exhausted" at the round cap or the raw-pair budget. Both
+    limits and band_wait_cap are non-negative integers, bands a positive one.
     """
     if policy not in POLICIES:
         raise InvalidParameter(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -340,52 +305,78 @@ def simulate_schedule(
         raise InvalidParameter(
             f"target {target_fidelity} must lie in (F0 = {cfg.F0}, 1)"
         )
-    if bands < 1:
-        raise InvalidParameter(f"bands = {bands} must be positive")
+    bands = _check_count("bands", bands, 1)
+    max_rounds = _check_count("max_rounds", max_rounds)
+    max_raw_pairs = _check_count("max_raw_pairs", max_raw_pairs)
+    band_wait_cap = _check_count("band_wait_cap", band_wait_cap)
 
-    width = (1.0 - cfg.F0) / bands
+    f0, p0 = cfg.F0, cfg.P0
+    width = (1.0 - f0) / bands  # positive: F0 < target < 1
+    banded = policy == "banded"
+    # live pairs, pid -> (fidelity, level, birth round); pids only grow, so
+    # the dict stays in pid order and births never decrease along it
+    pairs: Dict[int, Tuple[float, int, int]] = {}
 
-    def band_of(f: float) -> int:
-        if width <= 0.0:
-            return 0
-        return min(int((f - cfg.F0) / width), bands - 1)
+    def by_level():
+        groups: Dict[int, List[int]] = {}
+        for pid, (f, level, birth) in pairs.items():
+            groups.setdefault(level, []).append(pid)
+        full = [level for level, ids in groups.items() if len(ids) >= 2]
+        return tuple(groups[min(full)][:2]) if full else None
 
-    rng = random.Random(seed)
-    pool = _Pool()
+    def first_and_last():
+        return (next(iter(pairs)), next(reversed(pairs))) if len(pairs) >= 2 else None
+
+    def best_overall():
+        return _best_two([(pid, rec[0]) for pid, rec in pairs.items()]) if len(pairs) >= 2 else None
+
+    def best_in_top_band():
+        groups: Dict[int, List[Tuple[int, float]]] = {}
+        for pid, (f, level, birth) in pairs.items():
+            groups.setdefault(min(int((f - f0) / width), bands - 1), []).append((pid, f))
+        full = [band for band, members in groups.items() if len(members) >= 2]
+        return _best_two(groups[max(full)]) if full else None
+
+    pick = {
+        "symmetric": by_level,
+        "pumping": first_and_last,
+        "greedy": best_overall,
+        "banded": best_in_top_band,
+    }[policy]
+    draw = random.Random(seed).random
     events: List[TraceEvent] = []
+    next_id = 0
     raw = 0
     outcome = "exhausted"
-    reached_f: Optional[float] = None
     rnd = 0
 
     while rnd < max_rounds:
         rnd += 1
-        if policy == "banded":
-            stale = [
-                pid
-                for pid, (f, level, birth) in pool.pairs.items()
-                if rnd - birth > band_wait_cap
-            ]
-            for pid in stale:
-                f = pool.pairs[pid][0]
-                pool.remove(pid)
+        if banded:
+            # births never decrease along pid order: the stale pairs lead
+            while pairs:
+                pid = next(iter(pairs))
+                f, level, birth = pairs[pid]
+                if rnd - birth <= band_wait_cap:
+                    break
+                del pairs[pid]
                 events.append(TraceEvent(rnd, "discard", (pid,), True, f))
 
-        chosen = _pick_purify(policy, pool, band_of)
+        chosen = pick()
         if chosen is not None:
             a, b = chosen
-            f1, level1 = pool.pairs[a][0], pool.pairs[a][1]
-            f2, level2 = pool.pairs[b][0], pool.pairs[b][1]
-            p, f_out = purify_pair(f1, f2)
-            success = True if force_success else rng.random() < p
-            pool.remove(a)
-            pool.remove(b)
-            if success:
-                pool.add(f_out, max(level1, level2) + 1, rnd)
+            (f1, level1, _), (f2, level2, _) = pairs.pop(a), pairs.pop(b)
+            f1, f2 = float(f1), float(f2)  # raw pairs hold F0 as given, an int say
+            p = f1 * f2 + (1.0 - f1) * (1.0 - f2)
+            if p <= 0.0:
+                raise DegeneratePair("purification success probability is zero")
+            if force_success or draw() < p:
+                f_out = f1 * f2 / p
+                pairs[next_id] = (f_out, max(level1, level2) + 1, rnd)
+                next_id += 1
                 events.append(TraceEvent(rnd, "purify", (a, b), True, f_out))
                 if f_out >= target_fidelity:
                     outcome = "reached"
-                    reached_f = f_out
                     break
             else:
                 events.append(TraceEvent(rnd, "purify", (a, b), False, None))
@@ -393,15 +384,23 @@ def simulate_schedule(
 
         if raw >= max_raw_pairs:
             break
-        if force_success or rng.random() < cfg.P0:
-            pid = pool.add(cfg.F0, 0, rnd)
+        # Until a generation succeeds nothing changes but the round, so the
+        # attempts run here, up to the round cap or, in banded, the last
+        # round before the oldest pair turns stale.
+        stop = max_rounds
+        if banded and pairs:
+            stop = min(stop, next(iter(pairs.values()))[2] + band_wait_cap)
+        while not force_success and draw() >= p0:
+            if rnd >= stop:
+                break
+            rnd += 1
+        else:
+            pairs[next_id] = (f0, 0, rnd)
+            events.append(TraceEvent(rnd, "generate", (next_id,), True, f0))
+            next_id += 1
             raw += 1
-            events.append(TraceEvent(rnd, "generate", (pid,), True, cfg.F0))
 
-    if reached_f is not None:
-        final = reached_f
-    else:
-        final = max((rec[0] for rec in pool.pairs.values()), default=0.0)
+    final = f_out if outcome == "reached" else max((rec[0] for rec in pairs.values()), default=0.0)
     return ScheduleTrace(
         policy=policy,
         seed=seed,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from collections import Counter
@@ -56,6 +57,64 @@ EXPECTED_ROUNDS = {
     (2, 0.3): 6.34094488520179,
     (3, 0.1): 26.295784368397804,
 }
+
+# sha256 of trace_events_jsonl, rounds, outcome and raw_pairs_consumed, pinned
+# from the simulator before its loop was rewritten (target 0.9999, P0 = 0.5,
+# max_rounds = 3000): the same seed gives the same trace across versions
+TRACE_DIGESTS = {
+    ("symmetric", 0.638, 0):
+        ("c0332cfa4ceb4e88eb9d2dc0dd3d1c75c424dbf084121100d054070a1737479e", 355, "reached", 134),
+    ("symmetric", 0.638, 1):
+        ("e90fb1a58fb182e2d76e92e78544c51363a91b8c3911da0ed722f79fd1d49471", 400, "reached", 148),
+    ("symmetric", 0.638, 2):
+        ("629572eb6de46f2ac4345ac9396d99d40b69ad8dadfdcf3084bc18fb0ed8e1d9", 194, "reached", 62),
+    ("symmetric", 0.75, 0):
+        ("4b9a079813be562697a62930d1bc60bf636a8efb7d8afa1a4730b471234b0fed", 114, "reached", 34),
+    ("symmetric", 0.75, 1):
+        ("6096803d3124b99c6dbdbe6d91b65f363527c52a736c0f43d77af89ee93833f4", 65, "reached", 24),
+    ("symmetric", 0.75, 2):
+        ("702dbdf14fd50b5ae79ea1a96c51abf9f4d84e6b1ed0a6bf4d64f2f811bc9b52", 105, "reached", 30),
+    ("pumping", 0.638, 0):
+        ("180ef71b33a38f51ed9158cef8213fbf9cddbab97317af38700917162d27fe66", 3000, "exhausted", 1118),
+    ("pumping", 0.638, 1):
+        ("0a232c67b28b9fb28723bf25bd6eeb98a9b08c5ff5b319f039661af7cc76125c", 3000, "exhausted", 1092),
+    ("pumping", 0.638, 2):
+        ("2d1646b8ebbdca5e9f0db062be256720f74b4946a3f8146ab0f6a3c470a31bba", 3000, "exhausted", 1092),
+    ("pumping", 0.75, 0):
+        ("e62c4b80de6dfa7a724525485910c145f883cb99646ec2546ba5e0f763116d4c", 85, "reached", 27),
+    ("pumping", 0.75, 1):
+        ("61bfc5b62ebd2a4c49b50fc48f2461df694ceb662f9a41601ee5ea8cb263e752", 89, "reached", 28),
+    ("pumping", 0.75, 2):
+        ("909252fba2bc398c56b256ddd8aaf7792094ab9c55bd2e7a7f1bf5f457e7a945", 134, "reached", 45),
+    ("greedy", 0.638, 0):
+        ("180ef71b33a38f51ed9158cef8213fbf9cddbab97317af38700917162d27fe66", 3000, "exhausted", 1118),
+    ("greedy", 0.638, 1):
+        ("0a232c67b28b9fb28723bf25bd6eeb98a9b08c5ff5b319f039661af7cc76125c", 3000, "exhausted", 1092),
+    ("greedy", 0.638, 2):
+        ("2d1646b8ebbdca5e9f0db062be256720f74b4946a3f8146ab0f6a3c470a31bba", 3000, "exhausted", 1092),
+    ("greedy", 0.75, 0):
+        ("e62c4b80de6dfa7a724525485910c145f883cb99646ec2546ba5e0f763116d4c", 85, "reached", 27),
+    ("greedy", 0.75, 1):
+        ("61bfc5b62ebd2a4c49b50fc48f2461df694ceb662f9a41601ee5ea8cb263e752", 89, "reached", 28),
+    ("greedy", 0.75, 2):
+        ("909252fba2bc398c56b256ddd8aaf7792094ab9c55bd2e7a7f1bf5f457e7a945", 134, "reached", 45),
+    ("banded", 0.638, 0):
+        ("016a0518fa03fbf620e2046d688a09336b2f28975e8d9eab0b889bbe412424a1", 204, "reached", 76),
+    ("banded", 0.638, 1):
+        ("678031dcf9e7723ee3f8c357aaffacaf1aac20779d70f170808a75dfa9d1785d", 326, "reached", 118),
+    ("banded", 0.638, 2):
+        ("8942e4ec31fa8b8f55935551da50e4de00a70f7094e4c920856f4ab70aae8136", 172, "reached", 54),
+    ("banded", 0.75, 0):
+        ("ac703e08df539c1edd102b2c90fcfe49a4fe114dcc2632cd591fe94e127b93be", 101, "reached", 30),
+    ("banded", 0.75, 1):
+        ("87682f8d412a26c04e6f96fc755fb2c88b19b786cc1a53af7d41b3f90f1e0c9d", 46, "reached", 18),
+    ("banded", 0.75, 2):
+        ("617ad02041829642ad39fe29fd91d4f6deb146845de01f6a2fa418bd0c1c29cf", 65, "reached", 18),
+}
+# greedy at F0 = 0.638, seed 0, force_success
+FORCED_DIGEST = ("bfa46aaeeb2e0bc78afa8fffc7fb853721b9a1d47609df018e8df0e878706bdc", 33, "reached", 17)
+# banded at F0 = 0.638, seed 0, band_wait_cap = 10
+BANDED_CAP_DIGEST = ("5520b4dbec0cfebd1613e5bce31b060b16d6ac2d35a6e40e9bc23fd7b70f9419", 3000, "exhausted", 1131)
 
 CFG = RepeaterConfig(L=20000.0, segments=1, P0=0.5, eta=0.5, F0=0.638)
 # the smallest P0 at which expected_rounds sums its survival series on long chains
@@ -310,6 +369,12 @@ class TestGenerationRate:
         assert rep.Z_n >= 1.0 / 0.3
         assert rep.R_n <= 0.3 / rep.T0
 
+    def test_rate_survives_an_overflowing_denominator(self):
+        # T0 = 1e295 and Z_n = 1e20: their product overflows, the rate 1e-315 does not
+        rep = generation_rate(RepeaterConfig(L=1e303, segments=1, P0=1e-20, eta=0.5, F0=0.9))
+        assert rep.R_n > 0.0
+        assert math.isclose(rep.R_n, 1e-315, rel_tol=1e-12)
+
     def test_zero_probability_diverges(self):
         with pytest.raises(Divergent):
             generation_rate(RepeaterConfig(L=20000.0, segments=2, P0=0.0, eta=0.5, F0=0.9))
@@ -398,6 +463,21 @@ class TestSimulate:
         b = simulate_schedule("greedy", 0.95, CFG, seed=7, max_rounds=400)
         assert trace_events_jsonl(a) == trace_events_jsonl(b)
 
+    @staticmethod
+    def digest(policy, f0, seed, **kw):
+        cfg = RepeaterConfig(L=20000.0, segments=1, P0=0.5, eta=0.5, F0=f0)
+        trace = simulate_schedule(policy, 0.9999, cfg, seed=seed, max_rounds=3000, **kw)
+        jsonl = hashlib.sha256(trace_events_jsonl(trace).encode()).hexdigest()
+        return jsonl, trace.rounds, trace.outcome, trace.raw_pairs_consumed
+
+    @pytest.mark.parametrize("key", sorted(TRACE_DIGESTS))
+    def test_seeded_traces_match_pinned_digests(self, key):
+        assert self.digest(*key) == TRACE_DIGESTS[key]
+
+    def test_forced_and_stale_discard_traces_match_pinned_digests(self):
+        assert self.digest("greedy", 0.638, 0, force_success=True) == FORCED_DIGEST
+        assert self.digest("banded", 0.638, 0, band_wait_cap=10) == BANDED_CAP_DIGEST
+
     def test_different_seeds_diverge(self):
         a = simulate_schedule("greedy", 0.95, CFG, seed=0, max_rounds=400)
         b = simulate_schedule("greedy", 0.95, CFG, seed=1, max_rounds=400)
@@ -453,6 +533,13 @@ class TestSimulate:
         assert trace.final_fidelity == 0.0
         assert trace_events_jsonl(trace) == ""
 
+    def test_events_are_named_tuples(self):
+        trace = simulate_schedule("symmetric", 0.9999, CFG, force_success=True)
+        first = trace.events[0]
+        assert first == (1, "generate", (0,), True, CFG.F0)
+        rnd, action, inputs, success, output = first
+        assert (rnd, action, first.inputs) == (first.round, first.action, inputs)
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(InvalidParameter):
             simulate_schedule("eager", 0.9, CFG)
@@ -463,9 +550,35 @@ class TestSimulate:
         with pytest.raises(InvalidParameter):
             simulate_schedule("symmetric", 1.0, CFG)
 
+    @pytest.mark.parametrize("bad", [math.nan, -5, 2.0, True, "10"])
+    def test_rejects_bad_round_cap(self, bad):
+        with pytest.raises(InvalidParameter, match="max_rounds"):
+            simulate_schedule("symmetric", 0.9, CFG, max_rounds=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1, 7.5, False])
+    def test_rejects_bad_raw_pair_budget(self, bad):
+        with pytest.raises(InvalidParameter, match="max_raw_pairs"):
+            simulate_schedule("symmetric", 0.9, CFG, max_raw_pairs=bad)
+
+    @pytest.mark.parametrize("bad", [math.inf, -1, 10.0, True])
+    def test_rejects_bad_band_wait_cap(self, bad):
+        with pytest.raises(InvalidParameter, match="band_wait_cap"):
+            simulate_schedule("banded", 0.9, CFG, band_wait_cap=bad)
+
+    def test_numpy_integer_limits_are_accepted(self):
+        a = simulate_schedule("banded", 0.95, CFG, seed=3, max_rounds=np.int64(300), band_wait_cap=np.int32(10))
+        b = simulate_schedule("banded", 0.95, CFG, seed=3, max_rounds=300, band_wait_cap=10)
+        assert trace_events_jsonl(a) == trace_events_jsonl(b)
+
     def test_rejects_empty_banding(self):
         with pytest.raises(InvalidParameter):
             simulate_schedule("banded", 0.9, CFG, bands=0)
+
+    @pytest.mark.parametrize("bad", [2.5, math.inf, True])
+    def test_rejects_fractional_banding(self, bad):
+        # inf would make the band width zero
+        with pytest.raises(InvalidParameter, match="bands"):
+            simulate_schedule("banded", 0.9, CFG, bands=bad)
 
     def test_trace_json_shape(self):
         trace = simulate_schedule("symmetric", 0.9, CFG, seed=2, max_rounds=100)
