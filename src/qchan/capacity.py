@@ -3,17 +3,17 @@
 Numeric optimizers for the single-letter capacities (Holevo ensemble
 optimization, coherent-information maximization, entanglement-assisted
 mutual information, private information) and the minimum output
-entropy, an independent geometric
-solver that finds the informational radius r* of a qubit channel as a
-min-max relative-entropy ball problem, and closed forms for the channel
-families that have them.
+entropy, an independent geometric solver that finds the informational
+radius r* of a qubit channel as a min-max relative-entropy ball problem,
+and closed forms for the channel families that have them.
 
-All solvers are deterministic for a fixed OptimizerConfig seed. Every
-search runs L-BFGS-B through one multi-start driver (_MultiStart:
-sequential, lowest start index wins ties) from one start source
-(_seeded_starts: a solver's fixed starts, then seeded draws). Capacities
-are single-letter: every value is a one-use optimum, which lower-bounds
-the regularized capacity.
+The chi kernel (_pure_ensemble_neg_chi) serves hsw_numeric only; the
+state kernel (_state_neg_value) serves Q1, C_E, P1 (= max I_coh) and the
+qudit S_min. Every search runs L-BFGS-B through one multi-start driver
+(_MultiStart: sequential, lowest start index wins ties) from one start
+source (_seeded_starts: a solver's fixed starts, then seeded draws), so
+all solvers are deterministic for a fixed OptimizerConfig seed. Every
+capacity is a one-use optimum, which lower-bounds the regularized one.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .entropy import (
 )
 from .errors import InvalidChannel, InvalidParameter, Unsupported
 from .qmath import DensityMatrix, Ensemble, from_bloch
+from .repeater import _check_count
 
 _DIM_LIMIT = 8
 _TINY = 1e-300
@@ -52,11 +53,12 @@ _LN2 = math.log(2.0)
 # Largest Bloch radius the entropy slope -atanh(r)/ln 2 is evaluated at, so
 # that pure outputs (amplitude damping at r = 1) keep a finite gradient.
 _SLOPE_RADIUS = 1.0 - 1e-15
-# (c_rho, c_out, c_env) of the state functionals sum_X c_X S(X(rho)) that
-# quantum_capacity_single_use and entanglement_assisted maximize
+# (c_rho, c_out, c_env) of the state functionals sum_X c_X S(X(rho)) that Q1
+# and P1, C_E and (as -S_min, on pure inputs) _min_entropy_report maximize
 _COHERENT = (0.0, 1.0, -1.0)
 _MUTUAL = (1.0, 1.0, -1.0)
-# Members of the pure-input ensembles that hsw_numeric and private_information search
+_NEG_OUTPUT = (0.0, -1.0, 0.0)
+# Members of the pure-input ensembles that hsw_numeric searches
 _ENSEMBLE_SIZE = 4
 
 
@@ -69,10 +71,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.restarts >= 1:
-            raise InvalidParameter(f"restarts {self.restarts} must be at least 1")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed {self.seed} must be non-negative")
+        _check_count("restarts", self.restarts, 1)
+        _check_count("seed", self.seed)
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -260,25 +260,6 @@ def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
     return neg_chi
 
 
-def _ensemble_search(neg_value: Callable, d: int, cfg: OptimizerConfig) -> _MultiStart:
-    """_MultiStart of neg_value over ensembles of _ENSEMBLE_SIZE pure inputs of dimension d.
-
-    Starts: the basis states, then their uniform superposition (all members
-    with equal weights), then seeded draws.
-    """
-    m = _ENSEMBLE_SIZE
-    base = np.zeros(m * 2 * d)
-    base[np.arange(m) * 2 * d + np.arange(m) % d] = 1.0
-    uniform = np.tile(np.concatenate([np.ones(d), np.zeros(d)]) / math.sqrt(d), m)
-    starts = _seeded_starts(
-        cfg,
-        [np.concatenate([base, np.zeros(m)]), np.concatenate([uniform, np.zeros(m)])],
-        lambda rng: np.concatenate([rng.standard_normal(2 * m * d), 0.1 * rng.standard_normal(m)]),
-    )
-    opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
-    return _MultiStart(cfg).run(neg_value, starts, options=opts)
-
-
 def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) -> CapacityReport:
     """Single-letter Holevo capacity by ensemble optimization.
 
@@ -288,9 +269,19 @@ def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) 
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    d = channel.dim_in
-    ms = _ensemble_search(_pure_ensemble_neg_chi(channel.kraus, _ENSEMBLE_SIZE, d), d, cfg)
-    psi, w, _ = _unpack_vector_ensemble(ms.best_x, _ENSEMBLE_SIZE, d)
+    d, m = channel.dim_in, _ENSEMBLE_SIZE
+    # starts: the basis states, then their uniform superposition, then seeded draws
+    base = np.zeros(m * 2 * d)
+    base[np.arange(m) * 2 * d + np.arange(m) % d] = 1.0
+    uniform = np.tile(np.concatenate([np.ones(d), np.zeros(d)]) / math.sqrt(d), m)
+    starts = _seeded_starts(
+        cfg,
+        [np.concatenate([base, np.zeros(m)]), np.concatenate([uniform, np.zeros(m)])],
+        lambda rng: np.concatenate([rng.standard_normal(2 * m * d), 0.1 * rng.standard_normal(m)]),
+    )
+    opts = {"maxiter": 200, "ftol": 1e-13, "gtol": 1e-8}
+    ms = _MultiStart(cfg).run(_pure_ensemble_neg_chi(channel.kraus, m, d), starts, options=opts)
+    psi, w, _ = _unpack_vector_ensemble(ms.best_x, m, d)
     keep = w > 1e-4
     states = [DensityMatrix(np.outer(amp, amp.conj()), repair=True) for amp in psi[keep]]
     chi = _clamp_zero(-ms.best_val)
@@ -557,7 +548,8 @@ def _state_linear_forms(kraus) -> np.ndarray:
 def _state_neg_value(kraus, coeffs) -> Callable:
     """-f and its gradient for f(rho) = c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)).
 
-    x = (Re M, Im M), each d x d flattened; rho = M M^dag / t, t = Tr M M^dag.
+    x = (Re M, Im M), M d x r flattened (r = d, or 1 for a pure state, read
+    from len(x)); rho = M M^dag / t, t = Tr M M^dag; c_X = 0 skips S(X).
     The rho-gradient is G = sum_X c_X X^dag(-log2 X(rho)), the adjoints of N
     and env taken from the forms matrix F as F @ vec(L^T); every X preserves
     trace and Tr(d rho) = 0, so the -1/ln 2 term of dS drops. With
@@ -565,7 +557,7 @@ def _state_neg_value(kraus, coeffs) -> Callable:
 
     Rank-deficient X(rho): for full-rank rho its null space is that of X(I),
     which no dX reaches. A further null vector needs a singular M (amplitude
-    damping at |0>, say); then d rho has no block on the null space of
+    damping at |0>, or r = 1); then d rho has no block on the null space of
     M^dag, X^dag of X's null-space projector lives on that null space, and
     HM drops it. So the floored block of log2 X never reaches the gradient,
     which stays the exact derivative in M on the boundary of the state space.
@@ -574,23 +566,26 @@ def _state_neg_value(kraus, coeffs) -> Callable:
     (d_out, d), n = kraus[0].shape, len(kraus)
     cut = d_out * d_out
     c_rho, c_out, c_env = coeffs
+    forms = forms if c_env else np.ascontiguousarray(forms[:, :cut])  # N's columns only
     eye = np.eye(d)
 
     def neg_value(x):
-        m = (x[: d * d] + 1j * x[d * d :]).reshape(d, d)
+        r = len(x) // (2 * d)
+        m = (x[: d * r] + 1j * x[d * r :]).reshape(d, r)
         p = m @ m.conj().T
         t = float(np.trace(p).real)
-        if t < 1e-12:  # a vanishing M stands for the identity
-            m, p, t = eye, eye, float(d)
+        if t < 1e-12:  # a vanishing M stands for the first r basis states
+            m = np.eye(d, r)
+            p, t = m @ m.T, float(r)
         rho = p / t
         flat = rho.reshape(-1) @ forms
         s_out, log_out = _entropy_and_log2(flat[:cut].reshape(d_out, d_out))
-        s_env, log_env = _entropy_and_log2(flat[cut:].reshape(n, n))
-        back = np.concatenate(
-            (c_out * log_out.T.reshape(-1), c_env * log_env.T.reshape(-1))
-        )
+        value, back = c_out * s_out, c_out * log_out.T.reshape(-1)
+        if c_env:
+            s_env, log_env = _entropy_and_log2(flat[cut:].reshape(n, n))
+            value += c_env * s_env
+            back = np.concatenate((back, c_env * log_env.T.reshape(-1)))
         g = -(forms @ back).reshape(d, d).T
-        value = c_out * s_out + c_env * s_env
         if c_rho:
             s_rho, log_rho = _entropy_and_log2(rho)
             value += c_rho * s_rho
@@ -662,24 +657,20 @@ def entanglement_assisted(
 def private_information(
     channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
 ) -> CapacityReport:
-    """Single-letter private information: max over ensembles of chi_AB - chi_AE."""
+    """Pure-ensemble private information, a lower bound on the private capacity.
+
+    S(N(psi)) = S(N^c(psi)) for pure psi, so chi_AB - chi_AE is I_coh of the
+    ensemble average (Devetak, IEEE TIT 51, 2005): P1 = max I_coh, by Q1's search.
+    """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
     if channel.dim_in > 4:
         raise Unsupported("private-information solver handles input dimension <= 4")
-    d = channel.dim_in
-    chi_b = _pure_ensemble_neg_chi(channel.kraus, _ENSEMBLE_SIZE, d)
-    chi_e = _pure_ensemble_neg_chi(complementary(channel).kraus, _ENSEMBLE_SIZE, d)
-
-    def neg_p(t):
-        (val_b, grad_b), (val_e, grad_e) = chi_b(t), chi_e(t)
-        return val_b - val_e, grad_b - grad_e
-
-    ms = _ensemble_search(neg_p, d, cfg)
+    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT)
     return CapacityReport(
         channel_label=channel.label,
-        P1=_clamp_zero(-ms.best_val),
-        optimizer=ms.stats(),
+        P1=_clamp_zero(raw),
+        optimizer=stats,
         notes=("single-letter value; lower bound on the regularized capacity",),
     )
 
@@ -745,41 +736,14 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     )
 
 
-def _pure_output_entropy(kraus, d: int):
-    """S(N(|psi><psi|)) of psi = a / |a| and its gradient in x = (Re a, Im a).
-
-    With out = sum_i K_i psi psi^dag K_i^dag, dS = -Tr(log2(out) d out) (the
-    trace term drops on the unit sphere), so the gradient in psi is
-    g = -2 sum_i K_i^dag log2(out) K_i psi, projected onto the sphere's
-    tangent space and divided by |a|. Every K_i psi lies in the range of
-    out, so the floored null-space block of log2(out) never reaches g.
-    """
-    ks = np.asarray(kraus, dtype=complex)
-    d_out = ks.shape[1]
-
-    def entropy(x):
-        amp = x[:d] + 1j * x[d:]
-        nrm = float(np.linalg.norm(amp))
-        if nrm < 1e-9:
-            return math.log2(d_out), np.zeros(2 * d)
-        psi = amp / nrm
-        v = ks @ psi
-        ent, logm = _entropy_and_log2(v.T @ v.conj())
-        g = -2.0 * np.einsum("iod,io->d", ks.conj(), v @ logm.T)
-        g = (g - (psi.conj() @ g).real * psi) / nrm
-        return float(ent), np.concatenate((g.real, g.imag))
-
-    return entropy
-
-
 def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> CapacityReport:
     """Minimum output entropy S_min = min_psi S(N(|psi><psi|)) as a report.
 
     The minimum over all inputs is attained on a pure state. Qubit-to-qubit
     channels reduce to the largest output Bloch radius, which has a closed
     form (stats OptimizerStats(0, 0, 0.0)); other channels run _MultiStart
-    over pure inputs on an analytic gradient, from the basis states and
-    their uniform superposition, then seeded draws.
+    on the state kernel with a d x 1 M (a pure input), from the basis states
+    and their uniform superposition, then seeded draws.
     """
     if not is_cptp(channel):
         raise InvalidChannel("minimum output entropy needs a CPTP channel")
@@ -792,7 +756,7 @@ def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> Capaci
         fixed = np.vstack((np.eye(d, 2 * d), np.ones(2 * d) / math.sqrt(2 * d)))
         starts = _seeded_starts(cfg, fixed, lambda rng: rng.standard_normal(2 * d))
         opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
-        ms = _MultiStart(cfg).run(_pure_output_entropy(channel.kraus, d), starts, options=opts)
+        ms = _MultiStart(cfg).run(_state_neg_value(channel.kraus, _NEG_OUTPUT), starts, options=opts)
         s_min, stats = _clamp_zero(ms.best_val), ms.stats()
     return CapacityReport(channel_label=channel.label, S_min=s_min, optimizer=stats)
 
@@ -821,8 +785,13 @@ def full_report(
     cfg: Optional[OptimizerConfig] = None,
     measures=("hsw",),
 ) -> CapacityReport:
-    """Run the requested solvers and merge their fields into one report."""
+    """Run the requested solvers and merge their fields into one report.
+
+    A measure that "all" brings in and the channel does not support is left
+    out with a note; one named explicitly raises Unsupported.
+    """
     cfg = cfg or DEFAULT_CONFIG
+    named = () if measures == "all" else tuple(measures)
     if measures == "all" or "all" in measures:
         measures = tuple(MEASURES)
     merged: dict = {"channel_label": channel.label}
@@ -832,7 +801,13 @@ def full_report(
         if measure not in MEASURES:
             raise InvalidParameter(f"unknown measure {measure!r}")
         solver, fields = MEASURES[measure]
-        rep = globals()[solver](channel, cfg)
+        try:
+            rep = globals()[solver](channel, cfg)
+        except Unsupported as err:
+            if measure in named:
+                raise
+            notes.append(f"{measure} left out: {err}")
+            continue
         for name in fields:
             val = getattr(rep, name)
             if val is not None:

@@ -185,7 +185,7 @@ class PureState:
         if amp.size == 0:
             raise InvalidState("empty amplitude vector")
         nrm2 = float(np.vdot(amp, amp).real)
-        if abs(nrm2 - 1.0) > STATE_TOL:
+        if not abs(nrm2 - 1.0) <= STATE_TOL:  # NaN fails too
             raise InvalidState(f"squared norm {nrm2:.12f} differs from 1")
         amp.setflags(write=False)
         self._amp = amp
@@ -229,9 +229,10 @@ class Ensemble:
         states = tuple(states)
         if w.ndim != 1 or len(states) != w.size or w.size == 0:
             raise InvalidState("weights and states must be equal-length and non-empty")
-        if np.any(w < -STATE_TOL):
-            raise InvalidState("negative ensemble weight")
-        if abs(float(w.sum()) - 1.0) > STATE_TOL:
+        # written so that NaN fails; an infinite weight fails the sum
+        if not np.all(w >= -STATE_TOL):
+            raise InvalidState("negative or NaN ensemble weight")
+        if not abs(float(w.sum()) - 1.0) <= STATE_TOL:
             raise InvalidState(f"weights sum to {w.sum():.12f}, expected 1")
         dims = {s.dim for s in states}
         if len(dims) != 1:
@@ -277,7 +278,7 @@ class MeasurementSet:
         d = ops[0].shape[0]
         if any(m.shape != (d, d) for m in ops):
             raise DimensionMismatch("measurement operators must share one square shape")
-        if completeness_residual(ops) > COMPLETENESS_TOL:
+        if not completeness_residual(ops) <= COMPLETENESS_TOL:  # NaN fails too
             raise IncompleteMeasurement("operators do not resolve the identity within 1e-9")
         for m in ops:
             m.setflags(write=False)

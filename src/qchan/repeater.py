@@ -297,6 +297,11 @@ def simulate_schedule(
     The run ends with outcome "reached" when a purified pair meets the
     target, or "exhausted" at the round cap or the raw-pair budget. Both
     limits and band_wait_cap are non-negative integers, bands a positive one.
+
+    Pumping and greedy purify as soon as two pairs are held, so both pick
+    the only two. For F0 > 1/2 a purified pair beats a fresh one, both
+    list the older pair first, and their traces are identical; below
+    F0 = 1/2 they differ only in the order of a purify event's two inputs.
     """
     if policy not in POLICIES:
         raise InvalidParameter(f"unknown policy {policy!r}; choose from {POLICIES}")

@@ -7,6 +7,7 @@ import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from qchan import (
+    DensityMatrix,
     Ensemble,
     OptimizerConfig,
     OptimizerStats,
@@ -14,6 +15,7 @@ from qchan import (
     analytic_capacity,
     apply,
     binary_entropy,
+    coherent_information,
     complementary,
     entanglement_assisted,
     from_kraus,
@@ -64,6 +66,23 @@ class TestOptimizerConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidParameter):
             OptimizerConfig(seed=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 2.5},
+        {"restarts": math.inf},
+        {"restarts": True},
+        {"restarts": "4"},
+        {"seed": 1.5},
+        {"seed": math.nan},
+        {"seed": False},
+    ], ids=repr)
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(InvalidParameter):
+            OptimizerConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptimizerConfig(restarts=np.int64(3), seed=np.int32(2))
+        assert (cfg.restarts, cfg.seed) == (3, 2)
 
 
 class TestSeededStarts:
@@ -409,7 +428,7 @@ class TestHswGeometricCertificate:
         def forbidden(*args, **kwargs):
             raise AssertionError("hsw_geometric called an ensemble solver")
 
-        for name in ("hsw_numeric", "_ensemble_search", "_pure_ensemble_neg_chi"):
+        for name in ("hsw_numeric", "_pure_ensemble_neg_chi"):
             monkeypatch.setattr(capacity, name, forbidden)
         rep = hsw_geometric(random_cptp_channel(2, 2, 3, np.random.default_rng(7)), FAST)
         assert rep.optimizer.achieved_tolerance <= 1e-6
@@ -528,6 +547,33 @@ class TestPrivateInformation:
         p1 = private_information(ch, FAST).P1
         assert np.isclose(p1, 0.6, atol=1e-9)
         assert p1 <= hsw_numeric(ch, FAST).C_hsw + 1e-6
+
+    @pytest.mark.parametrize("d_in,d_out", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_pure_ensemble_chi_gap_is_coherent_information(self, d_in, d_out):
+        # S(N(psi)) = S(N^c(psi)) for pure psi, so chi_B - chi_E = I_coh(average)
+        rng = np.random.default_rng(d_in * 10 + d_out)
+        for _ in range(3):
+            ch = random_cptp_channel(d_in, d_out, int(rng.integers(2, 5)), rng)
+            comp = complementary(ch)
+            amps = rng.standard_normal((4, d_in)) + 1j * rng.standard_normal((4, d_in))
+            amps /= np.linalg.norm(amps, axis=1)[:, None]
+            ens = Ensemble(rng.dirichlet(np.ones(4)), [
+                DensityMatrix(np.outer(a, a.conj()), repair=True) for a in amps
+            ])
+
+            def chi(channel):
+                outputs = [apply(channel, s) for s in ens.states]
+                return float(holevo_quantity(Ensemble(ens.weights, outputs)))
+
+            i_coh = float(coherent_information(ens.average(), ch)[0])
+            assert abs(chi(ch) - chi(comp) - i_coh) <= 1e-10
+
+    def test_equals_the_q1_search(self):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        p1 = private_information(ch, FAST)
+        q1 = quantum_capacity_single_use(ch, FAST)
+        assert p1.P1 == q1.Q1
+        assert p1.optimizer == q1.optimizer
 
 
 class TestAnalytic:
@@ -672,6 +718,20 @@ class TestFullReport:
             measures=("hsw", "qcap"),
         )
         assert rep.Q1 <= rep.C_hsw + 1e-6
+
+    def test_all_leaves_out_what_a_qudit_channel_does_not_support(self):
+        rep = full_report(make_channel("erasure", p=0.3, d=3), FAST, measures="all")
+        assert rep.r_star is None
+        for name in ("C_hsw", "Q1", "C_E", "P1", "S_min"):
+            assert getattr(rep, name) is not None, name
+        assert "hsw-geo left out: geometric solver handles qubit channels" in rep.notes
+
+    def test_named_unsupported_measure_still_raises(self):
+        ch = make_channel("erasure", p=0.3, d=3)
+        with pytest.raises(Unsupported):
+            full_report(ch, FAST, measures=("hsw", "hsw-geo"))
+        with pytest.raises(Unsupported):
+            full_report(ch, FAST, measures=("hsw-geo", "all"))
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(InvalidParameter):

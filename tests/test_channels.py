@@ -27,7 +27,7 @@ from qchan import (
     tetrahedron_check,
     to_bloch,
 )
-from qchan.capacity import _pure_output_entropy
+from qchan.capacity import _NEG_OUTPUT, _state_neg_value
 from qchan.channels import CHANNEL_KINDS, MAX_DIM, AffineMap, _max_output_radius
 from qchan.errors import (
     DimensionMismatch,
@@ -401,8 +401,9 @@ class TestMinOutputEntropy:
         random_cptp_channel(3, 3, 2, np.random.default_rng(0)),
     ], ids=lambda ch: ch.label)
     def test_gradient_matches_central_differences(self, channel):
+        # the state kernel on a d x 1 M: S(N(psi)) of psi = a / |a|, x = (Re a, Im a)
         d, h = channel.dim_in, 1e-6
-        entropy = _pure_output_entropy(channel.kraus, d)
+        entropy = _state_neg_value(channel.kraus, _NEG_OUTPUT)
         rng = np.random.default_rng(3)
         for _ in range(3):
             x = rng.standard_normal(2 * d)
@@ -411,6 +412,14 @@ class TestMinOutputEntropy:
                 [(entropy(x + h * e)[0] - entropy(x - h * e)[0]) / (2 * h) for e in np.eye(2 * d)]
             )
             assert np.allclose(grad, central, atol=1e-7)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_vanishing_input_stays_finite(self, columns):
+        # a d x 1 and a d x d M at x = 0; the gradient keeps the length of x
+        entropy = _state_neg_value(make_channel("erasure", p=0.3, d=3).kraus, _NEG_OUTPUT)
+        value, grad = entropy(np.zeros(2 * 3 * columns))
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        assert grad.shape == (2 * 3 * columns,)
 
     def test_reruns_are_byte_identical(self):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))

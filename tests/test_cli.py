@@ -53,6 +53,15 @@ class TestCapacityVerb:
         (report,) = json.loads(out)
         assert float(row[field]) == report[field]
 
+    def test_all_on_a_qudit_channel_notes_what_it_left_out(self, capsys):
+        args = ("capacity", "--kind", "erasure", "--p", "0.3", "--d", "3", "--measure", "all")
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == 0 and err == ""
+        (report,) = json.loads(out)
+        assert report.get("r_star") is None
+        assert report["P1"] is not None and report["S_min"] is not None
+        assert any(note.startswith("hsw-geo left out") for note in report["notes"])
+
     @pytest.mark.parametrize("sweep", ["0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "0:1:nan"])
     def test_non_finite_sweep_exits_two(self, capsys, sweep):
         code, _, err = run(capsys, "capacity", "--kind", "depolarizing", "--sweep", sweep)

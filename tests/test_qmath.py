@@ -251,6 +251,10 @@ class TestMeasure:
         with pytest.raises(IncompleteMeasurement):
             MeasurementSet([np.diag([1.0, 0.0])])
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(IncompleteMeasurement):
+            MeasurementSet([np.diag([1.0, np.nan]), np.diag([0.0, 1.0])])
+
 
 class TestBellStates:
     def test_standard_pair_amplitudes(self):
@@ -271,6 +275,20 @@ class TestEnsemble:
     def test_rejects_bad_weights(self):
         with pytest.raises(InvalidState):
             Ensemble([0.7, 0.7], [from_bloch([0, 0, 1]), from_bloch([0, 0, -1])])
+
+    @pytest.mark.parametrize("weights", [
+        [np.nan, 0.5], [0.5, np.nan], [np.inf, 0.0], [np.inf, -np.inf],
+    ])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(InvalidState):
+            Ensemble(weights, [from_bloch([0, 0, 1]), from_bloch([0, 0, -1])])
+
+
+class TestPureState:
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [np.inf, 0.0], [1.0, 1.0]])
+    def test_rejects_non_finite_or_unnormalized(self, amplitudes):
+        with pytest.raises(InvalidState):
+            PureState(amplitudes)
 
 
 class TestCompletenessResidual:
