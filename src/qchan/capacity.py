@@ -7,13 +7,15 @@ entropy, an independent geometric solver that finds the informational
 radius r* of a qubit channel as a min-max relative-entropy ball problem,
 and closed forms for the channel families that have them.
 
-The chi kernel (_pure_ensemble_neg_chi) serves hsw_numeric only; the
-state kernel (_state_neg_value) serves Q1, C_E, P1 (= max I_coh) and the
-qudit S_min. Every search runs L-BFGS-B through one multi-start driver
-(_MultiStart: sequential, lowest start index wins ties) from one start
-source (_seeded_starts: a solver's fixed starts, then seeded draws), so
-all solvers are deterministic for a fixed OptimizerConfig seed. Every
-capacity is a one-use optimum, which lower-bounds the regularized one.
+The chi kernel (_pure_ensemble_neg_chi) serves hsw_numeric only. The
+state kernel (_state_neg_value) serves Q1, whose one search also gives
+P1 (= max I_coh), C_E and the qudit S_min, all through one search
+routine (_maximize_state_functional). Every search runs L-BFGS-B through
+one multi-start driver (_MultiStart: sequential, lowest start index wins
+ties) from one start source (_seeded_starts: a solver's fixed starts,
+then seeded draws), so all solvers are deterministic for a fixed
+OptimizerConfig seed. Every capacity is a one-use optimum, which
+lower-bounds the regularized one.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class OptimizerConfig:
     """Knobs shared by the numeric solvers."""
 
     restarts: int = 32
-    tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -83,11 +84,13 @@ class OptimizerStats:
     """Work a solve did; evaluations sums res.nfev over every minimize call.
 
     converged is the optimizer's own success flag for the reported optimum.
+    achieved_tolerance is the best-vs-runner-up spread of a multi-start
+    search (None when no runner-up ran) or hsw_geometric's duality gap.
     """
 
     iterations: int
     restarts: int
-    achieved_tolerance: float
+    achieved_tolerance: Optional[float]
     evaluations: int = 0
     converged: bool = True
 
@@ -184,10 +187,8 @@ class _MultiStart:
         return self
 
     def stats(self) -> OptimizerStats:
-        if math.isfinite(self.runner_up) and math.isfinite(self.best_val):
-            spread = abs(self.runner_up - self.best_val)
-        else:
-            spread = self.cfg.tolerance
+        # best vs runner-up; None when no second start ran
+        spread = abs(self.runner_up - self.best_val) if math.isfinite(self.runner_up) else None
         return OptimizerStats(
             self.iterations, self.started, spread, self.evaluations, self.converged
         )
@@ -596,15 +597,16 @@ def _state_neg_value(kraus, coeffs) -> Callable:
     return neg_value
 
 
-def _maximize_state_functional(channel: QuantumChannel, cfg: OptimizerConfig, coeffs):
-    """Maximize c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)) over input states."""
-    d = channel.dim_in
-    # M = I (the maximally mixed input), then random M
-    starts = _seeded_starts(
-        cfg,
-        [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])],
-        lambda rng: rng.standard_normal(2 * d * d),
-    )
+def _maximize_state_functional(channel: QuantumChannel, cfg: OptimizerConfig, coeffs, fixed=None):
+    """Maximize c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)): (maximum, stats).
+
+    Starts are the rows x = (Re M, Im M) of fixed (by default M = I, the
+    maximally mixed input), then seeded draws of the same length.
+    """
+    if fixed is None:
+        d = channel.dim_in
+        fixed = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
+    starts = _seeded_starts(cfg, fixed, lambda rng: rng.standard_normal(len(fixed[0])))
     opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
     ms = _MultiStart(cfg).run(_state_neg_value(channel.kraus, coeffs), starts, options=opts)
     return -ms.best_val, ms.stats()
@@ -613,19 +615,23 @@ def _maximize_state_functional(channel: QuantumChannel, cfg: OptimizerConfig, co
 def quantum_capacity_single_use(
     channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
 ) -> CapacityReport:
-    """Single-use quantum capacity: max over inputs of the coherent information.
+    """Single-use quantum capacity Q1 and pure-ensemble private information P1.
 
-    Reports the clamped value Q1 = max(0, max I_coh) and keeps the raw
-    optimum in Q1_raw.
+    Both are max over inputs of the coherent information. For pure psi
+    S(N(psi)) = S(N^c(psi)), so chi_AB - chi_AE of a pure-state ensemble is
+    I_coh of its average (Devetak, IEEE TIT 51, 2005), and P1, a lower bound
+    on the private capacity, is the same maximum. One search fills the
+    clamped Q1 = P1 = max(0, max I_coh) and the raw optimum Q1_raw.
+    private_information is this function.
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-
     raw, stats = _maximize_state_functional(channel, cfg, _COHERENT)
     return CapacityReport(
         channel_label=channel.label,
         Q1=_clamp_zero(raw),
         Q1_raw=raw,
+        P1=_clamp_zero(raw),
         optimizer=stats,
         notes=("single-letter value; lower bound on the regularized capacity",),
     )
@@ -642,9 +648,6 @@ def entanglement_assisted(
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    if channel.dim_in > 4:
-        raise Unsupported("entanglement-assisted solver handles input dimension <= 4")
-
     best, stats = _maximize_state_functional(channel, cfg, _MUTUAL)
     return CapacityReport(
         channel_label=channel.label,
@@ -654,25 +657,7 @@ def entanglement_assisted(
     )
 
 
-def private_information(
-    channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
-) -> CapacityReport:
-    """Pure-ensemble private information, a lower bound on the private capacity.
-
-    S(N(psi)) = S(N^c(psi)) for pure psi, so chi_AB - chi_AE is I_coh of the
-    ensemble average (Devetak, IEEE TIT 51, 2005): P1 = max I_coh, by Q1's search.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    _require_solvable(channel)
-    if channel.dim_in > 4:
-        raise Unsupported("private-information solver handles input dimension <= 4")
-    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT)
-    return CapacityReport(
-        channel_label=channel.label,
-        P1=_clamp_zero(raw),
-        optimizer=stats,
-        notes=("single-letter value; lower bound on the regularized capacity",),
-    )
+private_information = quantum_capacity_single_use
 
 
 def analytic_capacity(kind: str, **params) -> CapacityReport:
@@ -741,9 +726,9 @@ def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> Capaci
 
     The minimum over all inputs is attained on a pure state. Qubit-to-qubit
     channels reduce to the largest output Bloch radius, which has a closed
-    form (stats OptimizerStats(0, 0, 0.0)); other channels run _MultiStart
-    on the state kernel with a d x 1 M (a pure input), from the basis states
-    and their uniform superposition, then seeded draws.
+    form (stats OptimizerStats(0, 0, 0.0)); other channels search the state
+    kernel with a d x 1 M (a pure input), from the basis states and their
+    uniform superposition, then seeded draws.
     """
     if not is_cptp(channel):
         raise InvalidChannel("minimum output entropy needs a CPTP channel")
@@ -754,10 +739,8 @@ def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> Capaci
     else:
         d = channel.dim_in
         fixed = np.vstack((np.eye(d, 2 * d), np.ones(2 * d) / math.sqrt(2 * d)))
-        starts = _seeded_starts(cfg, fixed, lambda rng: rng.standard_normal(2 * d))
-        opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
-        ms = _MultiStart(cfg).run(_state_neg_value(channel.kraus, _NEG_OUTPUT), starts, options=opts)
-        s_min, stats = _clamp_zero(ms.best_val), ms.stats()
+        neg_s_min, stats = _maximize_state_functional(channel, cfg, _NEG_OUTPUT, fixed)
+        s_min = _clamp_zero(-neg_s_min)
     return CapacityReport(channel_label=channel.label, S_min=s_min, optimizer=stats)
 
 
@@ -766,14 +749,14 @@ def min_output_entropy(channel: QuantumChannel) -> EntropyScalar:
     return EntropyScalar(_min_entropy_report(channel, DEFAULT_CONFIG).S_min, "von_neumann")
 
 
-# Measure name -> (solver, the report fields it fills). Its order is the order
-# of --measure all and of the CLI's CSV columns. Solvers are named, not held,
-# so that full_report calls whatever the module attribute is at call time.
+# Measure name -> (solver, the report fields it takes from it). Its order is the
+# order of --measure all and of the CLI's CSV columns. Solvers are named, not
+# held, so that full_report calls whatever the module attribute is at call time.
 MEASURES = {
     "hsw": ("hsw_numeric", ("chi", "C_hsw")),
     "qcap": ("quantum_capacity_single_use", ("Q1", "Q1_raw")),
     "ea": ("entanglement_assisted", ("C_E",)),
-    "private": ("private_information", ("P1",)),
+    "private": ("quantum_capacity_single_use", ("P1",)),
     "hsw-geo": ("hsw_geometric", ("r_star",)),
     "minent": ("_min_entropy_report", ("S_min",)),
 }
@@ -785,10 +768,12 @@ def full_report(
     cfg: Optional[OptimizerConfig] = None,
     measures=("hsw",),
 ) -> CapacityReport:
-    """Run the requested solvers and merge their fields into one report.
+    """Run the requested solvers and merge the measures' fields into one report.
 
-    A measure that "all" brings in and the channel does not support is left
-    out with a note; one named explicitly raises Unsupported.
+    Each distinct solver runs once, so qcap and private share one search and
+    the summed stats count it once. A measure that "all" brings in and the
+    channel does not support is left out with a note; one named explicitly
+    raises Unsupported.
     """
     cfg = cfg or DEFAULT_CONFIG
     named = () if measures == "all" else tuple(measures)
@@ -796,31 +781,37 @@ def full_report(
         measures = tuple(MEASURES)
     merged: dict = {"channel_label": channel.label}
     notes: list = []
-    stats = None
+    runs: dict = {}  # solver name -> its report, or the Unsupported it raised
     for measure in measures:
         if measure not in MEASURES:
             raise InvalidParameter(f"unknown measure {measure!r}")
         solver, fields = MEASURES[measure]
-        try:
-            rep = globals()[solver](channel, cfg)
-        except Unsupported as err:
+        if solver not in runs:
+            try:
+                runs[solver] = globals()[solver](channel, cfg)
+            except Unsupported as err:
+                runs[solver] = err
+        rep = runs[solver]
+        if isinstance(rep, Unsupported):
             if measure in named:
-                raise
-            notes.append(f"{measure} left out: {err}")
+                raise rep
+            notes.append(f"{measure} left out: {rep}")
             continue
         for name in fields:
             val = getattr(rep, name)
             if val is not None:
                 merged[name] = val
         notes.extend(n for n in rep.notes if n not in notes)
-        if rep.optimizer is not None:
-            stats = rep.optimizer if stats is None else OptimizerStats(
-                stats.iterations + rep.optimizer.iterations,
-                stats.restarts + rep.optimizer.restarts,
-                max(stats.achieved_tolerance, rep.optimizer.achieved_tolerance),
-                stats.evaluations + rep.optimizer.evaluations,
-                stats.converged and rep.optimizer.converged,
-            )
+    # summed over the searches that ran, each once
+    ran = [r.optimizer for r in runs.values() if isinstance(r, CapacityReport) and r.optimizer]
+    tolerances = [s.achieved_tolerance for s in ran if s.achieved_tolerance is not None]
+    stats = None if not ran else OptimizerStats(
+        sum(s.iterations for s in ran),
+        sum(s.restarts for s in ran),
+        max(tolerances, default=None),
+        sum(s.evaluations for s in ran),
+        all(s.converged for s in ran),
+    )
     report = CapacityReport(optimizer=stats, notes=tuple(notes), **merged)
     _check_orderings(report)
     return report

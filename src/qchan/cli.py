@@ -38,12 +38,13 @@ _PARAMETERS = tuple(
 
 def _parse_distance(text: str) -> float:
     """Meters, or kilometers with a km suffix (e.g. '20km')."""
-    text = text.strip().lower()
-    if text.endswith("km"):
-        return float(text[:-2]) * 1000.0
-    if text.endswith("m"):
-        return float(text[:-1])
-    return float(text)
+    value = text.strip().lower()
+    try:
+        if value.endswith("km"):
+            return float(value[:-2]) * 1000.0
+        return float(value.removesuffix("m"))
+    except ValueError:
+        raise InvalidParameter(f"distance {text!r} is not a number of meters or km") from None
 
 
 def _parse_sweep(text: str) -> List[float]:
@@ -51,7 +52,10 @@ def _parse_sweep(text: str) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidParameter(f"sweep {text!r} must look like start:end:step")
-    start, end, step = (float(x) for x in parts)
+    try:
+        start, end, step = (float(x) for x in parts)
+    except ValueError:
+        raise InvalidParameter(f"sweep {text!r} has a bound or step that is not a number") from None
     if not all(math.isfinite(x) for x in (start, end, step)):
         raise InvalidParameter(f"sweep {text!r} has a non-finite bound or step")
     if step <= 0.0:
@@ -80,11 +84,15 @@ def _json_text(obj) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    """Write text to the file out, or to stdout when out is not given."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise InvalidParameter(f"cannot write {out}: {err}") from err
 
 
 def _channel_params(args) -> dict:
@@ -299,8 +307,7 @@ def _cmd_repeater_sim(args) -> str:
         for trial in range(args.trials)
     ]
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(rep.trace_events_jsonl(traces[0]))
+        _emit(rep.trace_events_jsonl(traces[0]), args.trace)
     if args.format == "json":
         return _json_text([rep.trace_to_json(t) for t in traces])
     rows = [

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from qchan import capacity
 from qchan.capacity import (
     _COHERENT,
     _MUTUAL,
+    _NEG_OUTPUT,
     _MultiStart,
     _min_entropy_report,
     _pure_ensemble_neg_chi,
@@ -83,6 +84,11 @@ class TestOptimizerConfig:
     def test_numpy_integers_accepted(self):
         cfg = OptimizerConfig(restarts=np.int64(3), seed=np.int32(2))
         assert (cfg.restarts, cfg.seed) == (3, 2)
+
+    def test_has_only_restarts_and_seed(self):
+        assert [f.name for f in fields(OptimizerConfig)] == ["restarts", "seed"]
+        with pytest.raises(TypeError):
+            OptimizerConfig(tolerance=1e-6)
 
 
 class TestSeededStarts:
@@ -517,8 +523,16 @@ class TestEntanglementAssisted:
         assert ea.C_E >= un.C_hsw - 1e-6
 
     def test_large_input_rejected(self):
-        with pytest.raises(Unsupported):
-            entanglement_assisted(make_channel("identity", d=5))
+        # one input limit for every state-kernel solver: _require_solvable's 8
+        for solver in (entanglement_assisted, private_information):
+            with pytest.raises(Unsupported, match="solver limit is dimension 8"):
+                solver(make_channel("identity", d=9))
+
+    @pytest.mark.parametrize("d", [5, 8])
+    def test_identity_up_to_the_input_limit(self, d):
+        ch = make_channel("identity", d=d)
+        assert abs(entanglement_assisted(ch, FAST).C_E - 2.0 * math.log2(d)) <= 1e-9
+        assert abs(private_information(ch, FAST).P1 - math.log2(d)) <= 1e-9
 
     def test_reruns_are_byte_identical(self):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
@@ -567,6 +581,11 @@ class TestPrivateInformation:
 
             i_coh = float(coherent_information(ens.average(), ch)[0])
             assert abs(chi(ch) - chi(comp) - i_coh) <= 1e-10
+
+    def test_is_the_q1_solver(self):
+        assert private_information is quantum_capacity_single_use
+        rep = quantum_capacity_single_use(make_channel("amplitude_damping", gamma=0.3), FAST)
+        assert rep.P1 == rep.Q1 > 0.0
 
     def test_equals_the_q1_search(self):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
@@ -764,13 +783,45 @@ class TestFullReport:
         ch = random_cptp_channel(2, 3, 2, np.random.default_rng(0))
         measures = ("hsw", "qcap", "ea", "private", "minent")
         rep = full_report(ch, FAST, measures=measures)
+        # private shares qcap's search, so it adds nothing to the sum
         solos = [
             hsw_numeric(ch, FAST),
             quantum_capacity_single_use(ch, FAST),
             entanglement_assisted(ch, FAST),
-            private_information(ch, FAST),
             _min_entropy_report(ch, FAST),
         ]
         assert solos[-1].optimizer.evaluations > 0
         assert rep.optimizer.evaluations == sum(s.optimizer.evaluations for s in solos)
         assert rep.optimizer.restarts == sum(s.optimizer.restarts for s in solos)
+
+    def test_all_runs_the_coherent_search_once(self, monkeypatch):
+        real = capacity._maximize_state_functional
+        calls = []
+
+        def counted(channel, cfg, coeffs, *args):
+            calls.append(coeffs)
+            return real(channel, cfg, coeffs, *args)
+
+        monkeypatch.setattr(capacity, "_maximize_state_functional", counted)
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        rep = full_report(ch, FAST, measures="all")
+        assert calls == [_COHERENT, _MUTUAL, _NEG_OUTPUT]
+        assert rep.P1 == rep.Q1
+
+    @pytest.mark.parametrize("measures,filled", [
+        (("qcap",), ("Q1", "Q1_raw")),
+        (("private",), ("P1",)),
+    ])
+    def test_shared_search_fills_only_the_requested_fields(self, measures, filled):
+        rep = full_report(make_channel("amplitude_damping", gamma=0.3), FAST, measures=measures)
+        for name in ("Q1", "Q1_raw", "P1"):
+            assert (getattr(rep, name) is not None) == (name in filled), name
+
+    def test_tolerance_is_the_worst_one_present(self):
+        ch = make_channel("amplitude_damping", gamma=0.3)
+        one = OptimizerConfig(restarts=1)
+        assert quantum_capacity_single_use(ch, one).optimizer.achieved_tolerance is None
+        geo = hsw_geometric(ch, one).optimizer.achieved_tolerance
+        rep = full_report(ch, one, measures=("qcap", "hsw-geo"))
+        assert rep.optimizer.achieved_tolerance == geo
+        assert full_report(ch, one, measures=("qcap",)).optimizer.achieved_tolerance is None

@@ -572,6 +572,10 @@ MALFORMED_COMMANDS = [
     (("repeater-sim", "--policy", "greedy", "--target", "0.95", "--trials", "0",
       "--trace", "{file}"), "", 2),
     (("repeater-rate", "--segments", str(2**1100), "--l0", "20km"), None, 2),
+    (("repeater-rate", "--segments", "1", "--l0", "abc"), None, 2),
+    (("repeater-rate", "--segments", "1", "--l0", "20km", "--sweep", "a:b:c"), None, 2),
+    (("repeater-sim", "--policy", "banded", "--target", "0.95", "--l0", "zz"), None, 2),
+    (("capacity", "--kind", "depolarizing", "--sweep", "x:1:0.1"), None, 2),
     (("zero-error", "--graph", "pentagon", "--uses", str(10**8)), None, 1),
     (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": [["x", 1]]}', 2),
     (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": [[0]]}', 2),
@@ -597,6 +601,18 @@ def test_malformed_command_exits_cleanly(tmp_path, argv, text, code):
     assert out.stdout == ""
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--kind", "identity", "--out"),
+    ("repeater-sim", "--policy", "greedy", "--target", "0.95", "--trace"),
+], ids=["out", "trace"])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "x.csv")
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 def test_mixed_erasure_sweep_holds_the_other_probability(capsys):
