@@ -1,12 +1,12 @@
 """Quantum channel representations, a constructor zoo, and classifiers.
 
-Channels are immutable Kraus-operator lists (plus one affine-only map
-used as a non-completely-positive witness). The module provides Choi and
-affine/Bloch representations, composition and tensoring, complementary
-channels, the largest output Bloch radius of a qubit channel, and
-structural classifiers: CPTP, unital, Pauli-distortion tetrahedron
-membership, degradability and entanglement breaking. Minimum output
-entropy is a search over inputs and lives in qchan.capacity.
+Channels are immutable Kraus-operator lists (plus affine-only qubit maps,
+such as the non-CP pancake witness); outputs, Choi and Bloch-ball forms
+are read from one superoperator. The module also provides composition and
+tensoring, complementary channels, the largest output Bloch radius of a
+qubit channel, and structural classifiers: CPTP, unital, Pauli-distortion
+tetrahedron membership, degradability and entanglement breaking. Minimum
+output entropy is a search over inputs and lives in qchan.capacity.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from .qmath import (
     PAULI_Z,
     _as_matrix,
     completeness_residual,
-    from_bloch,
-    to_bloch,
 )
 
 _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+# row i is vec(s_i), the row-major vec of Pauli i
+_PAULI_VECS = np.reshape(_PAULIS, (4, 4))
 
 CP_TOL = 1e-9
 # is_degradable calls a square superoperator beyond this condition number uninvertible
@@ -52,12 +52,12 @@ class AffineMap:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float).reshape(3, 3)
-        b = np.asarray(self.b, dtype=float).reshape(3)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b)
+        for name, shape in (("A", (3, 3)), ("b", (3,))):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            if not np.isfinite(value).all():
+                raise InvalidChannel(f"affine map has a non-finite entry in {name}")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __call__(self, r) -> np.ndarray:
         return self.A @ np.asarray(tuple(r), dtype=float) + self.b
@@ -125,8 +125,8 @@ class QuantumChannel:
     ----------
     kraus : sequence of arrays, or None
         dim_out x dim_in complex Kraus operators. None is reserved for
-        affine-only maps (the non-CP pancake witness), which must supply
-        `affine` instead.
+        affine-only qubit maps (the non-CP pancake witness), which must
+        supply `affine` instead and be 2 -> 2.
     dim_in, dim_out : int
         Input and output dimensions.
     label : str
@@ -162,6 +162,8 @@ class QuantumChannel:
         if kraus is None:
             if affine is None:
                 raise InvalidChannel("channel needs Kraus operators or an affine map")
+            if (self.dim_in, self.dim_out) != (2, 2):
+                raise Unsupported("an affine-only channel is a qubit map, 2 -> 2")
             self._kraus = None
             return
         ops = tuple(np.array(k, dtype=complex) for k in kraus)
@@ -355,12 +357,8 @@ def from_kraus(kraus, dim_in=None, dim_out=None, label="custom") -> QuantumChann
 
 
 def _apply_matrix(channel: QuantumChannel, m: np.ndarray) -> np.ndarray:
-    if channel.kraus is None:
-        r = to_bloch(m)
-        out = channel.stored_affine(r.r)
-        x, y, z = out
-        return 0.5 * (PAULI_I + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
-    return sum(k @ m @ k.conj().T for k in channel.kraus)
+    d = channel.dim_out
+    return (_superoperator(channel) @ m.reshape(-1)).reshape(d, d)
 
 
 def apply(channel: QuantumChannel, rho) -> DensityMatrix:
@@ -374,9 +372,17 @@ def apply(channel: QuantumChannel, rho) -> DensityMatrix:
 
 
 def _superoperator(channel: QuantumChannel) -> np.ndarray:
-    """Row-major-vec superoperator M with vec(N(rho)) = M vec(rho)."""
+    """Row-major-vec superoperator M with vec(N(rho)) = M vec(rho).
+
+    An affine-only map r -> A r + b enters through its Pauli transfer matrix
+    R = [[1, 0], [b, A]] as M = sum_ij R_ij vec(s_i) vec(s_j)^dag / 2 (Wood,
+    Biamonte & Cory, Quantum Inf. Comput. 15, 2015).
+    """
     if channel.kraus is None:
-        raise InvalidChannel("affine-only channel has no Kraus superoperator")
+        aff = channel.stored_affine
+        r = np.eye(4)
+        r[1:, 0], r[1:, 1:] = aff.b, aff.A
+        return 0.5 * _PAULI_VECS.T @ r @ _PAULI_VECS.conj()
     ks = np.asarray(channel.kraus)
     m = np.einsum("ioa,iqb->oqab", ks, ks.conj())
     return m.reshape(channel.dim_out**2, channel.dim_in**2)
@@ -390,25 +396,7 @@ def _choi_from_superop(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 def choi(channel: QuantumChannel) -> ChoiMatrix:
     """Choi state of the channel (unit trace for trace-preserving maps)."""
     d_in, d_out = channel.dim_in, channel.dim_out
-    if channel.kraus is not None:
-        c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-        for k in channel.kraus:
-            v = k.T.reshape(-1) / np.sqrt(d_in)
-            c += np.outer(v, v.conj())
-        return ChoiMatrix(c, d_in, d_out)
-    if d_in != 2 or d_out != 2:
-        raise Unsupported("affine-only channels are qubit maps")
-    aff = channel.stored_affine
-    c = np.zeros((4, 4), dtype=complex)
-    images = [
-        PAULI_I + aff.b[0] * PAULI_X + aff.b[1] * PAULI_Y + aff.b[2] * PAULI_Z,
-        sum(aff.A[j, 0] * _PAULIS[j + 1] for j in range(3)),
-        sum(aff.A[j, 1] * _PAULIS[j + 1] for j in range(3)),
-        sum(aff.A[j, 2] * _PAULIS[j + 1] for j in range(3)),
-    ]
-    for sigma, image in zip(_PAULIS, images):
-        c += np.kron(sigma.T, image)
-    return ChoiMatrix(c / 4.0, 2, 2)
+    return ChoiMatrix(_choi_from_superop(_superoperator(channel), d_in, d_out), d_in, d_out)
 
 
 def _choi_trace_residual(c: np.ndarray, d_in: int, d_out: int) -> float:
@@ -420,11 +408,7 @@ def _choi_trace_residual(c: np.ndarray, d_in: int, d_out: int) -> float:
 def is_cptp(channel: QuantumChannel) -> CptpReport:
     """Trace preservation and complete positivity with diagnostics."""
     c = choi(channel)
-    d_in = channel.dim_in
-    if channel.kraus is not None:
-        residual = completeness_residual(channel.kraus)
-    else:
-        residual = _choi_trace_residual(c.matrix, d_in, channel.dim_out)
+    residual = _choi_trace_residual(c.matrix, channel.dim_in, channel.dim_out)
     min_eig = c.min_eigenvalue
     return CptpReport(
         trace_preserving=residual <= COMPLETENESS_TOL,
@@ -463,27 +447,20 @@ def complementary(channel: QuantumChannel) -> QuantumChannel:
 
 
 def affine_representation(channel: QuantumChannel) -> AffineMap:
-    """Bloch-ball affine action r -> A r + b of a qubit channel."""
+    """Bloch-ball affine action r -> A r + b of a qubit channel.
+
+    b and A are R[1:, 0] and R[1:, 1:] of the Pauli transfer matrix
+    R_ij = Tr(s_i N(s_j)) / 2. R's top row is (1, 0, 0, 0) exactly when N
+    preserves trace; a map that does not raises InvalidChannel.
+    """
     if channel.dim_in != 2 or channel.dim_out != 2:
         raise DimensionMismatch("affine representation needs a qubit channel")
     if channel.kraus is None:
         return channel.stored_affine
-    b = to_bloch(_apply_matrix(channel, PAULI_I / 2.0)).r
-    cols = []
-    for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        image = to_bloch(
-            DensityMatrix(_apply_matrix(channel, (PAULI_I + sigma) / 2.0), repair=True)
-        ).r
-        cols.append(image - b)
-    aff = AffineMap(np.column_stack(cols), b)
-    # sanity on a fourth state: the map must be affine to 1e-9
-    probe = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    direct = to_bloch(
-        DensityMatrix(_apply_matrix(channel, from_bloch(probe).matrix), repair=True)
-    ).r
-    if np.max(np.abs(aff(probe) - direct)) > 1e-9:
-        raise InvalidChannel("channel action is not affine on the Bloch ball")
-    return aff
+    r = 0.5 * _PAULI_VECS.conj() @ _superoperator(channel) @ _PAULI_VECS.T
+    if np.max(np.abs(r[0] - (1.0, 0.0, 0.0, 0.0))) > COMPLETENESS_TOL:
+        raise InvalidChannel("map does not preserve trace, so it has no Bloch-ball action")
+    return AffineMap(r[1:, 1:].real, r[1:, 0].real)
 
 
 def tetrahedron_check(eta) -> bool:
@@ -582,8 +559,6 @@ def is_degradable(channel: QuantumChannel) -> DegradabilityReport:
     reliably (condition number beyond DEGRADABLE_COND_LIMIT, or no exact
     linear solution in the non-square case) the status is "undetermined".
     """
-    if channel.kraus is None:
-        raise InvalidChannel("degradability needs a Kraus representation")
     comp = complementary(channel)
     m_n = _superoperator(channel)
     m_c = _superoperator(comp)

@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -83,13 +84,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str], mode: str = "w") -> None:
     """Write text to the file out, or to stdout when out is not given."""
     if not out:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(out, mode, encoding="utf-8") as handle:
             handle.write(text)
     except OSError as err:
         raise InvalidParameter(f"cannot write {out}: {err}") from err
@@ -163,9 +164,8 @@ def _cmd_channel_inspect(args) -> str:
         if report:
             info["entanglement_breaking"] = ch.is_entanglement_breaking(channel)
             info["min_output_entropy"] = float(cap.min_output_entropy(channel))
-    else:
-        cm = ch.choi(channel)
-        info["choi_min_eigenvalue"] = cm.min_eigenvalue
+    else:  # only qubit maps are affine-only, so report is set
+        info["choi_min_eigenvalue"] = report.choi_min_eigenvalue
     if args.format == "json":
         return _json_text(info)
     flat = []
@@ -396,8 +396,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
-        _emit(text, args.out)
+        # refuse an unwritable output path before the verb runs; appending keeps a file as it is
+        for path in filter(None, (args.out, getattr(args, "trace", None))):
+            made = not os.path.lexists(path)
+            _emit("", path, "a")
+            if made:
+                os.remove(path)
+        _emit(args.func(args), args.out)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

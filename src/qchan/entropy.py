@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .channels import _apply_matrix
 from .errors import (
     DimensionMismatch,
     InfiniteDivergence,
@@ -272,8 +273,7 @@ def coherent_information(rho, channel):
     complementary map; S_E is the entropy exchange.
     """
     env = environment_state(rho, channel)
-    m = _as_matrix(rho)
-    out = sum(k @ m @ k.conj().T for k in channel.kraus)
+    out = _apply_matrix(channel, _as_matrix(rho))
     s_b = float(von_neumann(out))
     s_e = float(von_neumann(env))
     return (

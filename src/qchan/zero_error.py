@@ -82,13 +82,10 @@ class ZeroErrorReport:
 def non_adjacent(channel: QuantumChannel, rho1, rho2) -> bool:
     """True when the two inputs stay perfectly distinguishable.
 
-    Tests whether the output overlap Tr(N(rho1) N(rho2)) vanishes, which
-    holds exactly when the outputs have orthogonal supports.
+    Their two-vertex confusability graph has no edge: the output overlap
+    Tr(N(rho1) N(rho2)) vanishes, so the outputs have orthogonal supports.
     """
-    out1 = apply(channel, rho1).matrix
-    out2 = apply(channel, rho2).matrix
-    overlap = float(np.trace(out1 @ out2).real)
-    return overlap <= OVERLAP_TOL
+    return not confusability_graph(channel, [rho1, rho2]).is_edge(0, 1)
 
 
 def pauli_eigenstates():

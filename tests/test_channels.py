@@ -76,6 +76,21 @@ def _radius_panel():
     return channels
 
 
+def _round_trip_panel():
+    """Every 2->2 kind of CHANNEL_KINDS, then 10 random 2->2 channels of 1 to 4 Kraus operators."""
+    defaults = {"p": 0.3, "q": 0.3}
+    channels = [
+        make_channel(kind, **{n: defaults[n] for n in row.params if n != "d"})
+        for kind, row in CHANNEL_KINDS.items()
+    ]
+    rng = np.random.default_rng(3)
+    randoms = [random_cptp_channel(2, 2, int(rng.integers(1, 5)), rng) for _ in range(10)]
+    return [c for c in channels if (c.dim_in, c.dim_out) == (2, 2)] + randoms
+
+
+ROUND_TRIP = _round_trip_panel()
+
+
 class TestConstructors:
     @pytest.mark.parametrize("kind,params", ZOO)
     def test_zoo_members_are_cptp(self, kind, params):
@@ -308,6 +323,48 @@ class TestAffine:
     def test_non_qubit_rejected(self):
         with pytest.raises(DimensionMismatch):
             affine_representation(make_channel("erasure", p=0.5))
+
+    def test_non_trace_preserving_map_refused(self):
+        ch = QuantumChannel([np.sqrt(0.5) * np.eye(2)], 2, 2, trace_preserving=False)
+        with pytest.raises(InvalidChannel, match="preserve trace"):
+            affine_representation(ch)
+
+    def test_round_trip_panel_has_shifted_maps(self):
+        shifts = [np.abs(affine_representation(ch).b).max() for ch in ROUND_TRIP]
+        assert sum(s > 0.05 for s in shifts) >= 5
+
+    @pytest.mark.parametrize("ch", ROUND_TRIP, ids=lambda ch: ch.label)
+    def test_affine_only_copy_acts_like_the_channel(self, ch, rng):
+        copy = QuantumChannel(None, 2, 2, affine=affine_representation(ch))
+        assert np.abs(choi(copy).matrix - choi(ch).matrix).max() <= 1e-14
+        for _ in range(5):
+            rho = random_qubit(rng)
+            assert np.abs(apply(copy, rho).matrix - apply(ch, rho).matrix).max() <= 1e-14
+        report, copy_report = is_cptp(ch), is_cptp(copy)
+        assert bool(copy_report) == bool(report)
+        assert abs(copy_report.completeness_residual - report.completeness_residual) <= 1e-14
+        assert is_unital(copy) == is_unital(ch)
+
+
+class TestAffineOnly:
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (np.diag([np.nan, 1.0, 1.0]), np.zeros(3)),
+            (np.diag([1.0, np.inf, 1.0]), np.zeros(3)),
+            (np.eye(3), [0.0, np.nan, 0.0]),
+            (np.eye(3), [0.0, 0.0, -np.inf]),
+        ],
+        ids=["nan-in-A", "inf-in-A", "nan-in-b", "inf-in-b"],
+    )
+    def test_non_finite_entry_refused(self, a, b):
+        with pytest.raises(InvalidChannel, match="non-finite"):
+            AffineMap(a, b)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)])
+    def test_channel_must_be_a_qubit_map(self, dims):
+        with pytest.raises(Unsupported, match="2 -> 2"):
+            QuantumChannel(None, *dims, affine=AffineMap(np.eye(3), np.zeros(3)))
 
 
 class TestTetrahedron:

@@ -604,15 +604,36 @@ def test_malformed_command_exits_cleanly(tmp_path, argv, text, code):
 
 
 @pytest.mark.parametrize("argv", [
-    ("capacity", "--kind", "identity", "--out"),
+    ("capacity", "--kind", "depolarizing", "--sweep", "0:1:0.05", "--measure", "all", "--out"),
     ("repeater-sim", "--policy", "greedy", "--target", "0.95", "--trace"),
 ], ids=["out", "trace"])
-def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+def test_unwritable_output_path_exits_two(capsys, tmp_path, monkeypatch, argv):
+    from qchan import capacity, repeater
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the verb ran before its output path was checked")
+
+    monkeypatch.setattr(capacity, "full_report", unexpected)
+    monkeypatch.setattr(repeater, "simulate_schedule", unexpected)
     path = str(tmp_path / "missing" / "x.csv")
     code, out, err = run(capsys, *argv, path)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_failed_verb_leaves_output_paths_as_they_were(capsys, tmp_path, flag):
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier result\n")
+    for path in (kept, fresh):
+        argv = ("repeater-sim", "--policy", "greedy", "--target", "0.95", "--trials", "0")
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --trials 0")
+    assert kept.read_text() == "earlier result\n"
+    assert not fresh.exists()
 
 
 def test_mixed_erasure_sweep_holds_the_other_probability(capsys):
