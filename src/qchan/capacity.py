@@ -14,8 +14,10 @@ routine (_maximize_state_functional). Every search runs L-BFGS-B through
 one multi-start driver (_MultiStart: sequential, lowest start index wins
 ties) from one start source (_seeded_starts: a solver's fixed starts,
 then seeded draws), so all solvers are deterministic for a fixed
-OptimizerConfig seed. Every capacity is a one-use optimum, which
-lower-bounds the regularized one.
+OptimizerConfig seed. A concave search (C_E always, Q1 on a degradable
+channel) passes the driver a Frank-Wolfe certificate and stops after its
+first start when the certificate holds there. Every capacity is a
+one-use optimum, which lower-bounds the regularized one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .channels import (
     complementary,
     from_kraus,
     is_cptp,
+    is_degradable,
     is_unital,
 )
 from .entropy import (
@@ -52,6 +55,7 @@ from .repeater import _check_count
 _DIM_LIMIT = 8
 _TINY = 1e-300
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
 # Largest Bloch radius the entropy slope -atanh(r)/ln 2 is evaluated at, so
 # that pure outputs (amplitude damping at r = 1) keep a finite gradient.
 _SLOPE_RADIUS = 1.0 - 1e-15
@@ -62,6 +66,9 @@ _MUTUAL = (1.0, 1.0, -1.0)
 _NEG_OUTPUT = (0.0, -1.0, 0.0)
 # Members of the pure-input ensembles that hsw_numeric searches
 _ENSEMBLE_SIZE = 4
+# A concave search stops after its first start when the Frank-Wolfe gap
+# there, rounding margin included, is at most this many bits
+_CERTIFIED_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -84,15 +91,19 @@ class OptimizerStats:
     """Work a solve did; evaluations sums res.nfev over every minimize call.
 
     converged is the optimizer's own success flag for the reported optimum.
-    achieved_tolerance is the best-vs-runner-up spread of a multi-start
-    search (None when no runner-up ran) or hsw_geometric's duality gap.
+    restart_spread is the best-vs-runner-up spread of a multi-start search
+    (None when no runner-up ran). certificate_residual bounds how far the
+    reported value can lie from the true optimum: the Frank-Wolfe gap of a
+    concave search, hsw_geometric's duality gap r* - chi, or 0.0 for a
+    closed form; None where the solve has no certificate.
     """
 
     iterations: int
     restarts: int
-    achieved_tolerance: Optional[float]
+    restart_spread: Optional[float]
     evaluations: int = 0
     converged: bool = True
+    certificate_residual: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,11 @@ class _MultiStart:
     1e-12 * max(1, |best|). Never exceeds cfg.restarts starts. converged
     is the winner's success flag, or True when a later start tied it
     within 1e-15 and converged.
+
+    With certify(x) -> certificate residual (a concave objective), the
+    search also stops after the first start when its residual is at most
+    _CERTIFIED_GAP; otherwise it goes on exactly as without certify and
+    certifies the final winner.
     """
 
     def __init__(self, cfg: OptimizerConfig):
@@ -154,9 +170,10 @@ class _MultiStart:
         self.iterations = 0
         self.evaluations = 0
         self.started = 0
+        self.certificate = None
         self._since_improve = 0
 
-    def run(self, objective: Callable, starts, options=None):
+    def run(self, objective: Callable, starts, options=None, certify: Optional[Callable] = None):
         """L-BFGS-B from each start in turn; objective returns (value, gradient)."""
         from scipy.optimize import minimize
 
@@ -182,15 +199,22 @@ class _MultiStart:
                 # a tie that converged confirms the optimum the winner found
                 self.converged |= val <= self.best_val + 1e-15 and bool(res.success)
                 self.runner_up = min(self.runner_up, val)
+            if certify is not None and self.started == 1:
+                self.certificate = certify(self.best_x)
+                if self.certificate <= _CERTIFIED_GAP:
+                    break
             if self.started >= 8 and self._since_improve >= 6:
                 break
+        if certify is not None and self.started > 1:
+            self.certificate = certify(self.best_x)
         return self
 
     def stats(self) -> OptimizerStats:
         # best vs runner-up; None when no second start ran
         spread = abs(self.runner_up - self.best_val) if math.isfinite(self.runner_up) else None
         return OptimizerStats(
-            self.iterations, self.started, spread, self.evaluations, self.converged
+            self.iterations, self.started, spread, self.evaluations, self.converged,
+            self.certificate,
         )
 
 
@@ -465,7 +489,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     at the active inputs, sigma = sum_i w_i p_i, each input stationary on the
     sphere. chi = sum_i w_i D(p_i || sigma) is the Holevo quantity of that
     ensemble; r* is the max of D(. || sigma) over polished grid maxima. The
-    duality gap r* - chi is achieved_tolerance, noted above 1e-6.
+    duality gap r* - chi is certificate_residual, noted above 1e-6.
     optimizer.converged ANDs the L-BFGS-B flag and Newton's. The route has no
     knobs: cfg is accepted for the common solver signature and ignored.
     """
@@ -479,7 +503,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
         return CapacityReport(
             channel_label=channel.label,
             r_star=float(_bloch_negentropy(np.linalg.norm(aff.A, 2))),
-            optimizer=OptimizerStats(0, 0, 0.0),
+            optimizer=OptimizerStats(0, 0, None, certificate_residual=0.0),
             optimal_ensemble=Ensemble([0.5, 0.5], [from_bloch(v), from_bloch(-v)]),
             notes=tuple(notes),
         )
@@ -527,7 +551,7 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     return CapacityReport(
         channel_label=channel.label,
         r_star=r_star,
-        optimizer=OptimizerStats(int(res.nit) + steps, 1, gap, evaluations, converged),
+        optimizer=OptimizerStats(int(res.nit) + steps, 1, None, evaluations, converged, gap),
         optimal_ensemble=Ensemble(w, [from_bloch(u) for u in us]),
         notes=tuple(notes),
     )
@@ -546,31 +570,31 @@ def _state_linear_forms(kraus) -> np.ndarray:
     return np.ascontiguousarray(forms.T)  # one contiguous row per input matrix unit
 
 
-def _state_neg_value(kraus, coeffs) -> Callable:
-    """-f and its gradient for f(rho) = c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)).
+def _state_gradient(kraus, coeffs) -> Callable:
+    """evaluate(x) -> (f, G, rho, M, t), f = c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)).
 
     x = (Re M, Im M), M d x r flattened (r = d, or 1 for a pure state, read
     from len(x)); rho = M M^dag / t, t = Tr M M^dag; c_X = 0 skips S(X).
-    The rho-gradient is G = sum_X c_X X^dag(-log2 X(rho)), the adjoints of N
-    and env taken from the forms matrix F as F @ vec(L^T); every X preserves
-    trace and Tr(d rho) = 0, so the -1/ln 2 term of dS drops. With
-    H = G - Tr(G rho) I the gradient is (2/t) (Re HM, Im HM).
+    G = sum_X c_X X^dag(-log2 X(rho)) is the Hermitian rho-gradient, the
+    adjoints of N and env taken from the forms matrix F as F @ vec(L^T);
+    every X preserves trace, so the -1/ln 2 term of dS, a multiple of I, is
+    left out: neither the projected gradient nor the Frank-Wolfe gap sees it.
 
     Rank-deficient X(rho): for full-rank rho its null space is that of X(I),
     which no dX reaches. A further null vector needs a singular M (amplitude
     damping at |0>, or r = 1); then d rho has no block on the null space of
     M^dag, X^dag of X's null-space projector lives on that null space, and
-    HM drops it. So the floored block of log2 X never reaches the gradient,
-    which stays the exact derivative in M on the boundary of the state space.
+    HM below drops it. So the floored block of log2 X never reaches the
+    gradient, which stays the exact derivative in M on the boundary of the
+    state space; only the Frank-Wolfe gap sees it there, as a large G.
     """
     forms = _state_linear_forms(kraus)
     (d_out, d), n = kraus[0].shape, len(kraus)
     cut = d_out * d_out
     c_rho, c_out, c_env = coeffs
     forms = forms if c_env else np.ascontiguousarray(forms[:, :cut])  # N's columns only
-    eye = np.eye(d)
 
-    def neg_value(x):
+    def evaluate(x):
         r = len(x) // (2 * d)
         m = (x[: d * r] + 1j * x[d * r :]).reshape(d, r)
         p = m @ m.conj().T
@@ -591,24 +615,63 @@ def _state_neg_value(kraus, coeffs) -> Callable:
             s_rho, log_rho = _entropy_and_log2(rho)
             value += c_rho * s_rho
             g -= c_rho * log_rho
-        hm = (2.0 / t) * ((g - np.trace(g @ rho).real * eye) @ m)
-        return -float(value), -np.concatenate((hm.real.reshape(-1), hm.imag.reshape(-1)))
+        return float(value), g, rho, m, t
+
+    return evaluate
+
+
+def _state_neg_value(evaluate: Callable) -> Callable:
+    """-f and its gradient in x for the evaluate of _state_gradient.
+
+    Tr(d rho) = 0, so with H = G - Tr(G rho) I the gradient is
+    (2/t) (Re HM, Im HM).
+    """
+
+    def neg_value(x):
+        value, g, rho, m, t = evaluate(x)
+        hm = (2.0 / t) * ((g - np.trace(g @ rho).real * np.eye(len(g))) @ m)
+        return -value, -np.concatenate((hm.real.reshape(-1), hm.imag.reshape(-1)))
 
     return neg_value
 
 
-def _maximize_state_functional(channel: QuantumChannel, cfg: OptimizerConfig, coeffs, fixed=None):
+def _frank_wolfe_gap(evaluate: Callable) -> Callable:
+    """certify(x) -> lambda_max(G) - Tr(G rho) plus a rounding margin, for a concave f.
+
+    For concave f every state sigma has f(sigma) <= f(rho) + Tr(G (sigma - rho)),
+    whose maximum over sigma is the gap, so max f lies in [f(rho), f(rho) + gap].
+    The margin, 8 ulps x d x max|lambda(G)|, covers the rounding of the gap.
+    """
+
+    def certify(x):
+        _, g, rho, _, _ = evaluate(x)
+        lam = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+        gap = float(lam[-1]) - float((g * rho.T).sum().real)
+        margin = 8.0 * _EPS * len(g) * float(np.abs(lam).max())
+        return _clamp_zero(gap) + margin
+
+    return certify
+
+
+def _maximize_state_functional(
+    channel: QuantumChannel, cfg: OptimizerConfig, coeffs, concave=False, fixed=None
+):
     """Maximize c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)): (maximum, stats).
 
     Starts are the rows x = (Re M, Im M) of fixed (by default M = I, the
-    maximally mixed input), then seeded draws of the same length.
+    maximally mixed input), then seeded draws of the same length. A caller
+    that knows the functional is concave passes concave=True: the search
+    then stops after the first start when its Frank-Wolfe gap certifies it
+    (see _MultiStart.run), and stats.certificate_residual holds the gap.
     """
     if fixed is None:
         d = channel.dim_in
         fixed = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
     starts = _seeded_starts(cfg, fixed, lambda rng: rng.standard_normal(len(fixed[0])))
     opts = {"maxiter": 500, "ftol": 1e-15, "gtol": 1e-10}
-    ms = _MultiStart(cfg).run(_state_neg_value(channel.kraus, coeffs), starts, options=opts)
+    evaluate = _state_gradient(channel.kraus, coeffs)
+    certify = _frank_wolfe_gap(evaluate) if concave else None
+    ms = _MultiStart(cfg).run(_state_neg_value(evaluate), starts, opts, certify)
     return -ms.best_val, ms.stats()
 
 
@@ -623,10 +686,17 @@ def quantum_capacity_single_use(
     on the private capacity, is the same maximum. One search fills the
     clamped Q1 = P1 = max(0, max I_coh) and the raw optimum Q1_raw.
     private_information is this function.
+
+    On a channel that is_degradable calls degradable the coherent
+    information is concave in the input (Yard, Hayden & Devetak, IEEE TIT
+    54, 2008), so the search is certified as in entanglement_assisted and
+    stops after one start when the certificate holds; any other verdict
+    runs the full multi-start.
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT)
+    concave = is_degradable(channel).status == "degradable"
+    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT, concave)
     return CapacityReport(
         channel_label=channel.label,
         Q1=_clamp_zero(raw),
@@ -644,11 +714,16 @@ def entanglement_assisted(
 
     Maximizes the output mutual information S(rho) + S(N(rho)) - S_E over
     input states; for this quantity the single-use optimum already equals
-    the capacity.
+    the capacity. The mutual information is concave in the input (Adami &
+    Cerf, PRA 56, 1997), so one start from the maximally mixed input is
+    kept once its Frank-Wolfe gap, in optimizer.certificate_residual, is at
+    most 1e-6 bits: [C_E, C_E + certificate_residual] brackets the
+    capacity, and cfg (restarts, seed) does not change it. Only a start
+    that fails the certificate falls back to the seeded multi-start.
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    best, stats = _maximize_state_functional(channel, cfg, _MUTUAL)
+    best, stats = _maximize_state_functional(channel, cfg, _MUTUAL, True)
     return CapacityReport(
         channel_label=channel.label,
         C_E=_clamp_zero(best),
@@ -726,7 +801,7 @@ def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> Capaci
 
     The minimum over all inputs is attained on a pure state. Qubit-to-qubit
     channels reduce to the largest output Bloch radius, which has a closed
-    form (stats OptimizerStats(0, 0, 0.0)); other channels search the state
+    form (no restarts, certificate_residual 0.0); other channels search the state
     kernel with a d x 1 M (a pure input), from the basis states and their
     uniform superposition, then seeded draws.
     """
@@ -735,11 +810,11 @@ def _min_entropy_report(channel: QuantumChannel, cfg: OptimizerConfig) -> Capaci
     if channel.dim_in == 2 and channel.dim_out == 2:
         radius = _max_output_radius(affine_representation(channel))
         s_min = float(binary_entropy((1.0 + radius) / 2.0))
-        stats = OptimizerStats(0, 0, 0.0)
+        stats = OptimizerStats(0, 0, None, certificate_residual=0.0)
     else:
         d = channel.dim_in
         fixed = np.vstack((np.eye(d, 2 * d), np.ones(2 * d) / math.sqrt(2 * d)))
-        neg_s_min, stats = _maximize_state_functional(channel, cfg, _NEG_OUTPUT, fixed)
+        neg_s_min, stats = _maximize_state_functional(channel, cfg, _NEG_OUTPUT, False, fixed)
         s_min = _clamp_zero(-neg_s_min)
     return CapacityReport(channel_label=channel.label, S_min=s_min, optimizer=stats)
 
@@ -804,13 +879,17 @@ def full_report(
         notes.extend(n for n in rep.notes if n not in notes)
     # summed over the searches that ran, each once
     ran = [r.optimizer for r in runs.values() if isinstance(r, CapacityReport) and r.optimizer]
-    tolerances = [s.achieved_tolerance for s in ran if s.achieved_tolerance is not None]
+
+    def worst(name):
+        return max((getattr(s, name) for s in ran if getattr(s, name) is not None), default=None)
+
     stats = None if not ran else OptimizerStats(
         sum(s.iterations for s in ran),
         sum(s.restarts for s in ran),
-        max(tolerances, default=None),
+        worst("restart_spread"),
         sum(s.evaluations for s in ran),
         all(s.converged for s in ran),
+        worst("certificate_residual"),
     )
     report = CapacityReport(optimizer=stats, notes=tuple(notes), **merged)
     _check_orderings(report)

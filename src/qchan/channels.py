@@ -558,6 +558,10 @@ def is_degradable(channel: QuantumChannel) -> DegradabilityReport:
     degradable. When the channel superoperator cannot be inverted
     reliably (condition number beyond DEGRADABLE_COND_LIMIT, or no exact
     linear solution in the non-square case) the status is "undetermined".
+    A non-square superoperator leaves many solutions D, of which pinv
+    picks one, so a D that is not CPTP there proves nothing and the status
+    is "undetermined" as well (erasure(0.2) is degradable, yet its pinv
+    solution is not CP).
     """
     comp = complementary(channel)
     m_n = _superoperator(channel)
@@ -586,7 +590,8 @@ def is_degradable(channel: QuantumChannel) -> DegradabilityReport:
     w, v = np.linalg.eigh((choi_d + choi_d.conj().T) / 2.0)
     tp_residual = _choi_trace_residual(choi_d, d_out, n_env)
     if w[0] < -solve_tol or tp_residual > max(1e-7, solve_tol):
-        return DegradabilityReport("not_degradable", None, cond, residual)
+        status = "not_degradable" if square else "undetermined"
+        return DegradabilityReport(status, None, cond, residual)
 
     ops = [
         math.sqrt(float(w[i]) * d_out) * v[:, i].reshape(d_out, n_env).T

@@ -139,22 +139,21 @@ def _cmd_channel_inspect(args) -> str:
         "dim_out": channel.dim_out,
         "has_kraus": channel.kraus is not None,
     }
-    report = ch.is_cptp(channel) if channel.kraus is not None else None
-    if report is not None:
-        info["cptp"] = {
-            "trace_preserving": report.trace_preserving,
-            "completely_positive": report.completely_positive,
-            "completeness_residual": report.completeness_residual,
-            "choi_min_eigenvalue": report.choi_min_eigenvalue,
+    report = ch.is_cptp(channel)
+    info["cptp"] = {
+        "trace_preserving": report.trace_preserving,
+        "completely_positive": report.completely_positive,
+        "completeness_residual": report.completeness_residual,
+        "choi_min_eigenvalue": report.choi_min_eigenvalue,
+    }
+    info["unital"] = ch.is_unital(channel)
+    if report:
+        deg = ch.is_degradable(channel)
+        info["degradable"] = {
+            "status": deg.status,
+            "condition_number": deg.condition_number,
+            "residual": deg.residual,
         }
-        info["unital"] = ch.is_unital(channel)
-        if report:
-            deg = ch.is_degradable(channel)
-            info["degradable"] = {
-                "status": deg.status,
-                "condition_number": deg.condition_number,
-                "residual": deg.residual,
-            }
     if channel.dim_in == 2 and channel.dim_out == 2:
         aff = ch.affine_representation(channel)
         info["affine"] = {
@@ -164,7 +163,7 @@ def _cmd_channel_inspect(args) -> str:
         if report:
             info["entanglement_breaking"] = ch.is_entanglement_breaking(channel)
             info["min_output_entropy"] = float(cap.min_output_entropy(channel))
-    else:  # only qubit maps are affine-only, so report is set
+    else:
         info["choi_min_eigenvalue"] = report.choi_min_eigenvalue
     if args.format == "json":
         return _json_text(info)

@@ -423,9 +423,9 @@ def fidelity(rho, sigma) -> float:
 def entanglement_fidelity(rho, channel) -> float:
     """Entanglement fidelity of a channel at input rho.
 
-    Purifies rho to |psi>_PA, sends the A half through the channel and
-    returns <psi| (I (x) N)(|psi><psi|) |psi>. Requires a trace-preserving
-    channel with equal input and output dimensions.
+    <psi| (I (x) N)(|psi><psi|) |psi> for a purification psi of rho, which
+    equals sum_k |Tr(rho K_k)|^2 (Schumacher, PRA 54, 1996). Requires a
+    trace-preserving channel with equal input and output dimensions.
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
@@ -434,12 +434,11 @@ def entanglement_fidelity(rho, channel) -> float:
         raise InvalidChannel("channel has no Kraus representation")
     if channel.dim_in != rho.dim or channel.dim_out != rho.dim:
         raise DimensionMismatch("entanglement fidelity needs dim_out == dim_in == dim(rho)")
-    d = rho.dim
     if completeness_residual(kraus) > COMPLETENESS_TOL:
         raise InvalidChannel("channel is not trace preserving")
-    psi = purify(rho).amplitudes
-    val = sum(abs(np.vdot(psi, np.kron(np.eye(d), k) @ psi)) ** 2 for k in kraus)
-    return float(min(val, 1.0))
+    # Tr(rho K_k) for every k at once
+    traces = np.einsum("ij,kji->k", rho.matrix, np.asarray(kraus))
+    return float(min(float(np.sum(np.abs(traces) ** 2)), 1.0))
 
 
 def measure(rho, measurement: MeasurementSet):

@@ -37,6 +37,7 @@ from qchan.capacity import (
     _min_entropy_report,
     _pure_ensemble_neg_chi,
     _seeded_starts,
+    _state_gradient,
     _state_neg_value,
 )
 from qchan.errors import InvalidChannel, InvalidParameter, Unsupported
@@ -134,7 +135,7 @@ class TestHswNumeric:
     def test_optimizer_stats_recorded(self):
         rep = hsw_numeric(make_channel("depolarizing", p=0.5), FAST)
         assert rep.optimizer.restarts >= 8
-        assert rep.optimizer.achieved_tolerance <= 1e-6
+        assert rep.optimizer.restart_spread <= 1e-6
 
     def test_optimizer_stats_count_evaluations(self):
         rep = hsw_numeric(make_channel("amplitude_damping", gamma=0.3), FAST)
@@ -276,7 +277,7 @@ class TestStateFunctionalGradient:
 
     @pytest.mark.parametrize("channel,coeffs", _state_kernel_cases())
     def test_matches_central_differences_at_interior_states(self, channel, coeffs):
-        neg_value = _state_neg_value(channel.kraus, coeffs)
+        neg_value = _state_neg_value(_state_gradient(channel.kraus, coeffs))
         rng = np.random.default_rng(7)
         for _ in range(3):
             x = rng.standard_normal(2 * channel.dim_in**2)
@@ -287,7 +288,8 @@ class TestStateFunctionalGradient:
     @pytest.mark.parametrize("gamma", [0.3, 0.8])
     def test_exact_at_the_damping_fixed_point(self, gamma, coeffs):
         # rho = |0><0|: rho, N(rho) and env(rho) are all rank one
-        neg_value = _state_neg_value(make_channel("amplitude_damping", gamma=gamma).kraus, coeffs)
+        kraus = make_channel("amplitude_damping", gamma=gamma).kraus
+        neg_value = _state_neg_value(_state_gradient(kraus, coeffs))
         x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         value, grad = neg_value(x)
         assert value == 0.0
@@ -296,7 +298,7 @@ class TestStateFunctionalGradient:
     @pytest.mark.parametrize("coeffs", [_COHERENT, _MUTUAL])
     def test_exact_at_a_pure_qutrit_input(self, coeffs):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
-        neg_value = _state_neg_value(ch.kraus, coeffs)
+        neg_value = _state_neg_value(_state_gradient(ch.kraus, coeffs))
         m = np.zeros((2, 3, 3))
         m[:, :, 0] = np.random.default_rng(5).standard_normal((2, 3))
         x = m.reshape(-1)
@@ -387,7 +389,7 @@ class TestHswGeometricCertificate:
         ch = random_cptp_channel(2, 2, 3, np.random.default_rng(7))
         geo = hsw_geometric(ch, FAST)
         assert abs(geo.r_star - hsw_numeric(ch, FAST).C_hsw) <= 1e-6
-        assert geo.optimizer.achieved_tolerance <= 1e-6
+        assert geo.optimizer.certificate_residual <= 1e-6
         assert geo.notes == self.NOTES
 
     def test_pure_output_classical_quantum_channel(self):
@@ -397,7 +399,7 @@ class TestHswGeometricCertificate:
         rep = hsw_geometric(ch, FAST)
         expected = float(binary_entropy((1.0 + 1.0 / math.sqrt(2.0)) / 2.0))
         assert abs(rep.r_star - expected) <= 1e-9
-        assert rep.optimizer.achieved_tolerance <= 1e-9
+        assert rep.optimizer.certificate_residual <= 1e-9
 
     @pytest.mark.parametrize("kind,params", [
         ("identity", {}),
@@ -410,7 +412,7 @@ class TestHswGeometricCertificate:
         ch = make_channel(kind, **params)
         rep = hsw_geometric(ch, FAST)
         assert rep.optimizer.evaluations == 0
-        assert rep.optimizer.achieved_tolerance == 0.0
+        assert rep.optimizer.certificate_residual == 0.0
         assert abs(_ensemble_chi(ch, rep) - rep.r_star) <= 1e-12
 
     @pytest.mark.parametrize("ch", [
@@ -423,7 +425,7 @@ class TestHswGeometricCertificate:
     def test_duality_gap_on_the_qubit_panel(self):
         for ch in _qubit_panel():
             rep = hsw_geometric(ch, FAST)
-            assert rep.optimizer.achieved_tolerance <= 1e-6
+            assert rep.optimizer.certificate_residual <= 1e-6
             assert rep.optimizer.converged is True
             assert rep.notes == self.NOTES
             # the reported ensemble is the lower end of the bracket
@@ -437,7 +439,7 @@ class TestHswGeometricCertificate:
         for name in ("hsw_numeric", "_pure_ensemble_neg_chi"):
             monkeypatch.setattr(capacity, name, forbidden)
         rep = hsw_geometric(random_cptp_channel(2, 2, 3, np.random.default_rng(7)), FAST)
-        assert rep.optimizer.achieved_tolerance <= 1e-6
+        assert rep.optimizer.certificate_residual <= 1e-6
 
     def test_kkt_jacobian_matches_central_differences(self):
         aff = affine_representation(random_cptp_channel(2, 2, 3, np.random.default_rng(7)))
@@ -537,6 +539,110 @@ class TestEntanglementAssisted:
     def test_reruns_are_byte_identical(self):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
         assert repr(entanglement_assisted(ch, FAST)) == repr(entanglement_assisted(ch, FAST))
+
+
+def _damping_c_e(gamma: float) -> float:
+    """C_E of amplitude damping: S(rho) + S(N(rho)) - S_E at the best diagonal input."""
+    from scipy.optimize import minimize_scalar
+
+    def neg(p):
+        return -float(
+            binary_entropy(p) + binary_entropy((1.0 - gamma) * p) - binary_entropy(gamma * p)
+        )
+
+    res = minimize_scalar(neg, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+    return -float(res.fun)
+
+
+def _pauli_c_e(probs) -> float:
+    """C_E of a qubit Pauli channel: 2 minus the entropy of its Pauli probabilities."""
+    probs = np.asarray([q for q in probs if q > 0.0])
+    return 2.0 + float(probs @ np.log2(probs))
+
+
+def _qudit_capacity_channels():
+    """The five channels of perfbench's qudit_capacity workload."""
+    panel = np.random.default_rng(0)
+    return [
+        make_channel("erasure", p=0.2),
+        make_channel("erasure", p=0.6),
+        make_channel("mixed_erasure", p=0.2, q=0.3),
+        random_cptp_channel(2, 3, 2, panel),
+        random_cptp_channel(3, 2, 2, panel),
+    ]
+
+
+class TestConcaveCertificate:
+    """C_E, and Q1 on degradable channels, stop at one start that a Frank-Wolfe gap certifies."""
+
+    @pytest.mark.parametrize("ch,expected", [
+        (make_channel("depolarizing", p=0.3), _pauli_c_e([1 - 0.225, 0.075, 0.075, 0.075])),
+        (make_channel("depolarizing", p=1.0), 0.0),
+        (make_channel("bit_flip", p=0.2), _pauli_c_e([0.8, 0.2])),
+        (make_channel("erasure", p=0.3), 2 * 0.7),
+        (make_channel("erasure", p=0.4, d=3), 2 * 0.6 * math.log2(3)),
+        (make_channel("amplitude_damping", gamma=0.3), _damping_c_e(0.3)),
+        (make_channel("amplitude_damping", gamma=0.8), _damping_c_e(0.8)),
+    ], ids=lambda v: getattr(v, "label", ""))
+    def test_c_e_bracket_holds_the_closed_form(self, ch, expected):
+        rep = entanglement_assisted(ch)
+        residual = rep.optimizer.certificate_residual
+        assert rep.optimizer.restarts == 1
+        assert 0.0 <= residual <= capacity._CERTIFIED_GAP
+        assert rep.C_E - 1e-12 <= expected <= rep.C_E + residual + 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45])
+    def test_degradable_q1_bracket_holds_the_closed_form(self, gamma):
+        ch = make_channel("amplitude_damping", gamma=gamma)
+        rep = quantum_capacity_single_use(ch)
+        expected = analytic_capacity("amplitude_damping", gamma=gamma).Q1_raw
+        assert rep.optimizer.restarts == 1
+        residual = rep.optimizer.certificate_residual
+        assert rep.Q1_raw - 1e-12 <= expected <= rep.Q1_raw + residual + 1e-12
+
+    def test_residual_is_never_negative(self):
+        rng = np.random.default_rng(11)
+        channels = _qudit_capacity_channels() + [
+            random_cptp_channel(int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, rng)
+            for _ in range(6)
+        ]
+        for ch in channels:
+            assert entanglement_assisted(ch, FAST).optimizer.certificate_residual >= 0.0
+        for ch in (make_channel("dephasing", p=0.2), make_channel("amplitude_damping", gamma=0.2)):
+            assert quantum_capacity_single_use(ch, FAST).optimizer.certificate_residual >= 0.0
+
+    @pytest.mark.parametrize("ch", [
+        make_channel("depolarizing", p=0.4),
+        make_channel("erasure", p=0.6),
+    ], ids=lambda ch: ch.label)
+    def test_non_degradable_q1_keeps_the_multi_start(self, ch):
+        # a lone M = I start is 0.36 and 0.20 bits low on these two
+        rep = quantum_capacity_single_use(ch)
+        assert rep.optimizer.restarts >= 8
+        assert rep.optimizer.certificate_residual is None
+
+    @pytest.mark.parametrize("ch,coeffs", [
+        (make_channel("amplitude_damping", gamma=0.3), _MUTUAL),
+        (random_cptp_channel(3, 2, 2, np.random.default_rng(0)), _MUTUAL),
+        (make_channel("dephasing", p=0.2), _COHERENT),
+    ], ids=lambda v: getattr(v, "label", ""))
+    def test_failed_certificate_falls_back_to_the_same_search(self, monkeypatch, ch, coeffs):
+        plain = capacity._maximize_state_functional(ch, FAST, coeffs)
+        monkeypatch.setattr(capacity, "_CERTIFIED_GAP", -1.0)
+        value, stats = capacity._maximize_state_functional(ch, FAST, coeffs, True)
+        assert stats.restarts > 1
+        assert stats.certificate_residual >= 0.0
+        assert (value, replace(stats, certificate_residual=None)) == plain
+
+    def test_cfg_does_not_change_a_certified_value(self):
+        ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
+        other = OptimizerConfig(restarts=40, seed=9)
+        assert repr(entanglement_assisted(ch)) == repr(entanglement_assisted(ch, other))
+
+    def test_qudit_workload_evaluation_budget(self):
+        # one certified start each; the multi-start spent 455 here
+        reports = [entanglement_assisted(ch) for ch in _qudit_capacity_channels()]
+        assert sum(rep.optimizer.evaluations for rep in reports) <= 60
 
 
 class TestPrivateInformation:
@@ -695,7 +801,7 @@ def _qudit_smin_panel():
 class TestMinEntropyReport:
     def test_qubit_channel_reports_zero_stats(self):
         rep = _min_entropy_report(make_channel("amplitude_damping", gamma=0.3), FAST)
-        assert rep.optimizer == OptimizerStats(0, 0, 0.0)
+        assert rep.optimizer == OptimizerStats(0, 0, None, certificate_residual=0.0)
         assert rep.S_min == 0.0
 
     @pytest.mark.parametrize("channel", _qudit_smin_panel(), ids=lambda ch: ch.label)
@@ -820,8 +926,16 @@ class TestFullReport:
     def test_tolerance_is_the_worst_one_present(self):
         ch = make_channel("amplitude_damping", gamma=0.3)
         one = OptimizerConfig(restarts=1)
-        assert quantum_capacity_single_use(ch, one).optimizer.achieved_tolerance is None
-        geo = hsw_geometric(ch, one).optimizer.achieved_tolerance
+        q1 = quantum_capacity_single_use(ch, one).optimizer
+        assert q1.restart_spread is None
+        geo = hsw_geometric(ch, one).optimizer
         rep = full_report(ch, one, measures=("qcap", "hsw-geo"))
-        assert rep.optimizer.achieved_tolerance == geo
-        assert full_report(ch, one, measures=("qcap",)).optimizer.achieved_tolerance is None
+        assert rep.optimizer.restart_spread is None
+        assert rep.optimizer.certificate_residual == max(
+            q1.certificate_residual, geo.certificate_residual
+        )
+        assert full_report(ch, one, measures=("qcap",)).optimizer.restart_spread is None
+        # a spread and a residual from different solvers are not merged into one
+        rep = full_report(ch, FAST, measures=("hsw", "hsw-geo"))
+        assert rep.optimizer.restart_spread == hsw_numeric(ch, FAST).optimizer.restart_spread
+        assert rep.optimizer.certificate_residual == geo.certificate_residual

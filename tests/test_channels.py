@@ -27,7 +27,7 @@ from qchan import (
     tetrahedron_check,
     to_bloch,
 )
-from qchan.capacity import _NEG_OUTPUT, _state_neg_value
+from qchan.capacity import _NEG_OUTPUT, _state_gradient, _state_neg_value
 from qchan.channels import CHANNEL_KINDS, MAX_DIM, AffineMap, _max_output_radius
 from qchan.errors import (
     DimensionMismatch,
@@ -460,7 +460,7 @@ class TestMinOutputEntropy:
     def test_gradient_matches_central_differences(self, channel):
         # the state kernel on a d x 1 M: S(N(psi)) of psi = a / |a|, x = (Re a, Im a)
         d, h = channel.dim_in, 1e-6
-        entropy = _state_neg_value(channel.kraus, _NEG_OUTPUT)
+        entropy = _state_neg_value(_state_gradient(channel.kraus, _NEG_OUTPUT))
         rng = np.random.default_rng(3)
         for _ in range(3):
             x = rng.standard_normal(2 * d)
@@ -473,7 +473,8 @@ class TestMinOutputEntropy:
     @pytest.mark.parametrize("columns", [1, 3])
     def test_vanishing_input_stays_finite(self, columns):
         # a d x 1 and a d x d M at x = 0; the gradient keeps the length of x
-        entropy = _state_neg_value(make_channel("erasure", p=0.3, d=3).kraus, _NEG_OUTPUT)
+        kraus = make_channel("erasure", p=0.3, d=3).kraus
+        entropy = _state_neg_value(_state_gradient(kraus, _NEG_OUTPUT))
         value, grad = entropy(np.zeros(2 * 3 * columns))
         assert np.isfinite(value) and np.isfinite(grad).all()
         assert grad.shape == (2 * 3 * columns,)
@@ -532,6 +533,11 @@ class TestDegradability:
     def test_strong_damping_is_not_degradable(self):
         report = is_degradable(make_channel("amplitude_damping", gamma=0.8))
         assert report.status == "not_degradable"
+
+    def test_non_square_test_does_not_refute_weak_erasure(self):
+        # erasure(0.2) is degradable (erase its output with probability 0.75), but the
+        # 9 x 4 superoperator leaves many degrading maps and pinv picks one that is not CP
+        assert is_degradable(make_channel("erasure", p=0.2)).status == "undetermined"
 
     def test_degrading_map_reproduces_environment(self, rng):
         ch = make_channel("amplitude_damping", gamma=0.2)

@@ -164,10 +164,11 @@ class TestCapacityVerb:
         assert code == 0
         (report,) = json.loads(out)
         assert report["optimizer"] == {
-            "achieved_tolerance": 0.0,
+            "certificate_residual": 0.0,
             "converged": True,
             "evaluations": 0,
             "iterations": 0,
+            "restart_spread": None,
             "restarts": 0,
         }
 
@@ -209,7 +210,11 @@ class TestChannelInspect:
         assert code == 0
         info = json.loads(out)
         assert info["has_kraus"] is False
-        assert "cptp" not in info
+        assert info["cptp"]["trace_preserving"] is True
+        assert info["cptp"]["completely_positive"] is False
+        assert abs(info["cptp"]["choi_min_eigenvalue"] + 0.25) <= 1e-12
+        assert info["unital"] is True
+        assert "degradable" not in info
         assert np.allclose(info["affine"]["A"], np.diag([1.0, 1.0, 0.0]))
 
     def test_csv_flattens_nested_fields(self, capsys):

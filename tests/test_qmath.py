@@ -17,6 +17,7 @@ from qchan import (
     measure,
     partial_trace,
     purify,
+    random_cptp_channel,
     purity,
     spectral_decompose,
     tensor_product,
@@ -232,6 +233,16 @@ class TestEntanglementFidelity:
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises((DimensionMismatch, InvalidChannel)):
             entanglement_fidelity(rho, make_channel("erasure", p=0.5))
+
+    @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2)])
+    def test_matches_the_purification_form(self, rng, d, k):
+        # <psi| (I (x) N)(|psi><psi|) |psi> on a purification psi of rho
+        for _ in range(3):
+            ch = random_cptp_channel(d, d, k, rng)
+            rho = random_density(rng, d)
+            psi = purify(rho).amplitudes
+            direct = sum(abs(np.vdot(psi, np.kron(np.eye(d), op) @ psi)) ** 2 for op in ch.kraus)
+            assert abs(entanglement_fidelity(rho, ch) - direct) <= 1e-12
 
 
 class TestMeasure:

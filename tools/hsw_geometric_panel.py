@@ -14,7 +14,7 @@ Panels:
 
 Prints one JSON object: per panel, the median over passes of the total
 hsw_geometric wall time, its evaluations, the worst |r* - C_hsw| against
-hsw_numeric, the worst achieved_tolerance with the notes raised, and, when
+hsw_numeric, the worst certificate_residual with the notes raised, and, when
 every report carries an ensemble, the worst r* - chi of that ensemble.
 Under "hsw_numeric", the same panel's median total hsw_numeric wall time,
 its evaluations, the worst C_hsw - chi of the returned ensemble and the
@@ -90,7 +90,7 @@ def measure(channels, passes: int, cfg):
         "wall_s_passes": [round(t, 4) for t in times],
         "evaluations": sum(rep.optimizer.evaluations for rep in reports),
         "worst_abs_rstar_minus_C_hsw": max(abs(rep.r_star - num.C_hsw) for rep, num in zip(reports, numeric)),
-        "worst_achieved_tolerance": max(rep.optimizer.achieved_tolerance for rep in reports),
+        "worst_certificate_residual": max(rep.optimizer.certificate_residual for rep in reports),
         "worst_ensemble_gap": max(gaps) if len(gaps) == len(channels) else None,
         "all_converged": all(rep.optimizer.converged for rep in reports),
         "notes": notes,
