@@ -10,13 +10,15 @@ and closed forms for the channel families that have them.
 The chi kernel (_pure_ensemble_neg_chi) serves hsw_numeric only. The
 state kernel (_state_neg_value) serves Q1, whose one search also gives
 P1 (= max I_coh), C_E and the qudit S_min, all through one search
-routine (_maximize_state_functional). Every search runs L-BFGS-B through
-one multi-start driver (_MultiStart: sequential, lowest start index wins
-ties) from one start source (_seeded_starts: a solver's fixed starts,
-then seeded draws), so all solvers are deterministic for a fixed
-OptimizerConfig seed. A concave search (C_E always, Q1 on a degradable
-channel) passes the driver a Frank-Wolfe certificate and stops after its
-first start when the certificate holds there. Every capacity is a
+routine (_maximize_state_functional). Every search runs one numpy
+L-BFGS (_lbfgs, with a More-Thuente line search) through one multi-start
+driver (_MultiStart: sequential, lowest start index wins ties) from one
+start source (_seeded_starts: a solver's fixed starts, then seeded
+draws), so all solvers are deterministic for a fixed OptimizerConfig
+seed; hsw_geometric's coarse centre comes from the same _lbfgs. A
+concave search (C_E always, Q1 on a degradable channel) passes the
+driver a Frank-Wolfe certificate and stops after its first start when
+the certificate holds there. Every capacity is a
 one-use optimum, which lower-bounds the regularized one.
 """
 
@@ -56,6 +58,9 @@ _DIM_LIMIT = 8
 _TINY = 1e-300
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
+# Rounding noise of the entropy objectives, relative to max(|f|, 1): moving x
+# by a few ulps moves them by up to 16 eps on random channels up to 8->8
+_NOISE = 16.0 * _EPS
 # Largest Bloch radius the entropy slope -atanh(r)/ln 2 is evaluated at, so
 # that pure outputs (amplitude damping at r = 1) keep a finite gradient.
 _SLOPE_RADIUS = 1.0 - 1e-15
@@ -69,6 +74,8 @@ _ENSEMBLE_SIZE = 4
 # A concave search stops after its first start when the Frank-Wolfe gap
 # there, rounding margin included, is at most this many bits
 _CERTIFIED_GAP = 1e-6
+# _lbfgs options where a search names none: L-BFGS-B's customary defaults
+_LBFGS_DEFAULTS = {"maxiter": 15000, "ftol": 1e7 * _EPS, "gtol": 1e-5}
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ DEFAULT_CONFIG = OptimizerConfig()
 
 @dataclass(frozen=True)
 class OptimizerStats:
-    """Work a solve did; evaluations sums res.nfev over every minimize call.
+    """Work a solve did; evaluations sums the objective calls of every _lbfgs run.
 
     converged is the optimizer's own success flag for the reported optimum.
     restart_spread is the best-vs-runner-up spread of a multi-start search
@@ -145,6 +152,184 @@ def _softmax(w: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
+    """One safeguarded step of the More-Thuente search, as MINPACK-2's dcstep.
+
+    (stx, fx, dx) is the best step so far with its value and slope along
+    the line, (sty, fy, dy) the interval's other end, (stp, fp, dp) the
+    trial. Returns the updated ends, the next trial (a cubic, secant or
+    quadratic interpolant, kept within [stmin, stmax] while unbracketed)
+    and whether a minimizer is bracketed.
+    """
+
+    def cubic_gamma(theta, da, db):
+        s = max(abs(theta), abs(da), abs(db))
+        return s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+
+    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+    if fp > fx:  # a higher value: the minimizer is bracketed
+        gamma = cubic_gamma(theta, dx, dp) * (-1.0 if stp < stx else 1.0)
+        stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif dp * dx < 0.0:  # a lower value and slopes of opposite sign: bracketed
+        gamma = cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # a lower value and a shrinking slope of the same sign
+        gamma = cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stmax if stp > stx else stmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            limit = stp + 0.66 * (sty - stp)
+            stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(stmin, min(stmax, stpf))
+    elif brackt:  # a lower value and a slope that does not shrink
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = cubic_gamma(theta, dy, dp) * (-1.0 if stp > sty else 1.0)
+        stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
+    else:
+        stpf = stmax if stp > stx else stmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if dp * dx < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(fun: Callable, x, f: float, g, d, gd: float, stp: float):
+    """Strong-Wolfe step along d from (x, f, g), gd = g.d < 0: (stp, x, f, g, nfev).
+
+    MINPACK-2's dcsrch (More & Thuente, ACM TOMS 20, 1994) with L-BFGS-B's
+    constants: sufficient decrease c1 = 1e-3, curvature c2 = 0.9, at most
+    20 evaluations and steps in [0, 1e10]. Sufficient decrease holds up to
+    _NOISE * max(|f|, 1), so that a step which rounding hides is still
+    taken. Once the bracket is narrower than 0.1 of its right end, or
+    interpolation leaves it, the search ends at the bracket's low end,
+    the best step so far (stp 0 when nothing improved). A trial with a
+    non-finite value or gradient is never accepted: the step halves
+    toward the best one and stays below it. stp is None when 20
+    evaluations end without a step.
+    """
+    gtest = 1e-3 * gd
+    stx = sty = 0.0
+    fx = fy = f
+    gx = gy = gd
+    best = (x, f, g)
+    brackt, stage1 = False, True
+    width, width1 = 1e10, 2e10
+    stmin, stmax = 0.0, 5.0 * stp
+    cap = math.inf  # the smallest step whose value was not finite
+    for nfev in range(1, 21):
+        trial = x + stp * d
+        ft, gt = fun(trial)
+        ft = float(ft)
+        if not (math.isfinite(ft) and np.isfinite(gt).all()):
+            cap = stp
+            stp = 0.5 * (stx + cap)
+            continue
+        dg = float(gt.dot(d))
+        ftest = f + stp * gtest
+        stage1 = stage1 and not (ft <= ftest and dg >= 0.0)
+        if ft <= ftest + _NOISE * max(abs(f), 1.0) and abs(dg) <= -0.9 * gd:
+            return stp, trial, ft, gt, nfev
+        try:
+            if stage1 and fx >= ft > ftest:
+                # the value fell, but not enough: step on f - stp * gtest instead
+                stx, fxm, gxm, sty, fym, gym, new, brackt = _dcstep(
+                    stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                    stp, ft - stp * gtest, dg - gtest, brackt, stmin, stmax,
+                )
+                fx, gx, fy, gy = fxm + stx * gtest, gxm + gtest, fym + sty * gtest, gym + gtest
+            else:
+                stx, fx, gx, sty, fy, gy, new, brackt = _dcstep(
+                    stx, fx, gx, sty, fy, gy, stp, ft, dg, brackt, stmin, stmax
+                )
+        except ZeroDivisionError:  # a degenerate interpolant: no further progress
+            return (stx,) + best + (nfev,)
+        if stx == stp:
+            best = (trial, ft, gt)
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                new = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = new + 1.1 * (new - stx), new + 4.0 * (new - stx)
+        stp = min(max(new, 0.0), 1e10)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= 0.1 * stmax):
+            return (stx,) + best + (nfev,)
+        if stp >= cap:
+            stp = 0.5 * (stx + cap)
+    return (None,) + best + (nfev,)
+
+
+def _lbfgs(fun: Callable, x0, maxiter: int, ftol: float, gtol: float):
+    """Minimize fun(x) -> (value, gradient) from x0: (x, f, nit, nfev, success).
+
+    Unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989): memory 10,
+    the two-loop recursion with H0 = (s.y / y.y) I from the newest pair, a
+    pair kept only when s.y > eps |g.s|, and _line_search from the step
+    1/|g| at first, then 1. As in L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM
+    J. Sci. Comput. 16, 1995) without bounds, a run succeeds once max|g| <=
+    gtol or (f_old - f) / max(|f_old|, |f|, 1) <= ftol after an iteration,
+    and fails on reaching maxiter or on a failed line search with no memory
+    left to reset; one with memory clears it and restarts along -g.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    f, nit, nfev = float(f), 0, 1
+    if not (math.isfinite(f) and np.isfinite(g).all()):
+        return x, f, nit, nfev, False
+    pairs: list = []  # (s, y, 1 / s.y), oldest first
+    scale = 1.0
+    while np.abs(g).max() > gtol:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * s.dot(d))
+            d -= y * alphas[-1]
+        d *= scale
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += s * (alpha - rho * y.dot(d))
+        gd = float(g.dot(d))
+        stp = min(1.0 / math.sqrt(float(d.dot(d))), 1e10) if nit == 0 else 1.0
+        stp, x_new, f_new, g_new, used = (
+            _line_search(fun, x, f, g, d, gd, stp) if gd < 0.0 else (None, x, f, g, 0)
+        )
+        nfev += used
+        if stp is None:
+            if not pairs:
+                return x, f, nit, nfev, False
+            pairs, scale = [], 1.0
+            continue
+        nit += 1
+        if nit >= maxiter:
+            return x_new, f_new, nit, nfev, False
+        done = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        sy = (float(g_new.dot(d)) - gd) * stp
+        if sy > _EPS * -gd * stp:
+            y = g_new - g
+            pairs = pairs[-9:] + [(stp * d, y, 1.0 / sy)]
+            scale = sy / float(y.dot(y))
+        x, f, g = x_new, f_new, g_new
+        if done:
+            return x, f, nit, nfev, True
+    return x, f, nit, nfev, True
+
+
 class _MultiStart:
     """Sequential multi-start minimizer with a plateau early exit.
 
@@ -174,30 +359,29 @@ class _MultiStart:
         self._since_improve = 0
 
     def run(self, objective: Callable, starts, options=None, certify: Optional[Callable] = None):
-        """L-BFGS-B from each start in turn; objective returns (value, gradient)."""
-        from scipy.optimize import minimize
+        """_lbfgs from each start in turn; objective returns (value, gradient).
 
-        options = options or {}
+        options overrides _LBFGS_DEFAULTS (maxiter, ftol, gtol).
+        """
+        options = {**_LBFGS_DEFAULTS, **(options or {})}
         for x0 in starts:
             if self.started >= self.cfg.restarts:
                 break
-            x0 = np.asarray(x0, dtype=float)
-            res = minimize(objective, x0, method="L-BFGS-B", jac=True, options=options)
+            x, val, nit, nfev, success = _lbfgs(objective, x0, **options)
             self.started += 1
-            self.iterations += int(res.nit)
-            self.evaluations += int(res.nfev)
-            val = float(res.fun)
+            self.iterations += nit
+            self.evaluations += nfev
             # a rounding-level gain may take the lead, but does not restart the plateau
             gained = val < self.best_val - 1e-12 * max(1.0, abs(val))
             self._since_improve = 0 if gained else self._since_improve + 1
             if val < self.best_val - 1e-15:
                 self.runner_up = self.best_val
                 self.best_val = val
-                self.best_x = np.asarray(res.x, dtype=float)
-                self.converged = bool(res.success)
+                self.best_x = x
+                self.converged = success
             else:
                 # a tie that converged confirms the optimum the winner found
-                self.converged |= val <= self.best_val + 1e-15 and bool(res.success)
+                self.converged |= val <= self.best_val + 1e-15 and success
                 self.runner_up = min(self.runner_up, val)
             if certify is not None and self.started == 1:
                 self.certificate = certify(self.best_x)
@@ -483,14 +667,14 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     hsw_numeric. Unital and constant channels: the inputs +-v along a top
     singular vector of A average to sigma*, so r* = 1 - S(|A|_2), exactly.
 
-    Otherwise one L-BFGS-B run minimizes a smoothed max of D over 2,048 grid
+    Otherwise one _lbfgs run minimizes a smoothed max of D over 2,048 grid
     outputs and the output of largest radius. Its softmax mass at up to 4
     spread inputs seeds Newton's method on the KKT system: equal divergences
     at the active inputs, sigma = sum_i w_i p_i, each input stationary on the
     sphere. chi = sum_i w_i D(p_i || sigma) is the Holevo quantity of that
     ensemble; r* is the max of D(. || sigma) over polished grid maxima. The
     duality gap r* - chi is certificate_residual, noted above 1e-6.
-    optimizer.converged ANDs the L-BFGS-B flag and Newton's. The route has no
+    optimizer.converged ANDs the _lbfgs flag and Newton's. The route has no
     knobs: cfg is accepted for the common solver signature and ignored.
     """
     if channel.dim_in != 2 or channel.dim_out != 2:
@@ -507,8 +691,6 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
             optimal_ensemble=Ensemble([0.5, 0.5], [from_bloch(v), from_bloch(-v)]),
             notes=tuple(notes),
         )
-    from scipy.optimize import minimize
-
     # the grid plus the input of largest output radius, so that a pure output is a candidate
     dirs = np.vstack((_fibonacci_directions(2048), _max_output_direction(aff)))
     points = dirs @ aff.A.T + aff.b
@@ -527,8 +709,8 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
         value = (float(d.max()) + math.log(float(e.sum())) / beta - top) / scale
         return value, (s - (e / e.sum()) @ points) / _LN2
 
-    res = minimize(smoothed_max, t / scale, method="L-BFGS-B", jac=True)
-    t = scale * res.x
+    x, _, nit, nfev, success = _lbfgs(smoothed_max, t / scale, **_LBFGS_DEFAULTS)
+    t = scale * x
     vals = _bloch_divergences(points, negentropy, _from_natural(t))
     mass = np.exp(beta * (vals - vals.max()))
     picked = _spread_picks(dirs, mass, 1e-3, 4)
@@ -546,12 +728,11 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     gap = _clamp_zero(r_star - chi)
     if gap > 1e-6:
         notes.append(f"duality gap r* - chi = {gap:.2e} above 1e-6")
-    evaluations = int(res.nfev) + polished + steps + final
-    converged = bool(res.success) and newton_ok
+    evaluations = nfev + polished + steps + final
     return CapacityReport(
         channel_label=channel.label,
         r_star=r_star,
-        optimizer=OptimizerStats(int(res.nit) + steps, 1, None, evaluations, converged, gap),
+        optimizer=OptimizerStats(nit + steps, 1, None, evaluations, success and newton_ok, gap),
         optimal_ensemble=Ensemble(w, [from_bloch(u) for u in us]),
         notes=tuple(notes),
     )
@@ -762,17 +943,27 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
             notes=("closed form",),
         )
     if kind == "amplitude_damping":
-        from scipy.optimize import minimize_scalar
-
         gamma = values["gamma"]
+        raw = 0.0  # gamma >= 1/2 is antidegradable: I_coh <= 0, and 0 at the input |0>
+        if gamma < 0.5:
+            # golden-section search over the population tau in [0, 1], where q is unimodal
+            def q(tau):
+                return float(binary_entropy((1.0 - gamma) * tau)) - float(binary_entropy(gamma * tau))
 
-        def neg_q(tau):
-            return float(binary_entropy(gamma * tau)) - float(binary_entropy((1.0 - gamma) * tau))
-
-        res = minimize_scalar(neg_q, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-9})
-        raw = -float(res.fun)
-        if gamma >= 0.5:
-            raw = min(raw, 0.0)
+            shrink = (math.sqrt(5.0) - 1.0) / 2.0
+            lo, hi = 0.0, 1.0
+            a, b = hi - shrink, shrink
+            qa, qb = q(a), q(b)
+            while hi - lo > 1e-9:
+                if qa >= qb:
+                    hi, b, qb = b, a, qa
+                    a = hi - shrink * (hi - lo)
+                    qa = q(a)
+                else:
+                    lo, a, qa = a, b, qb
+                    b = lo + shrink * (hi - lo)
+                    qb = q(b)
+            raw = max(qa, qb)
         return CapacityReport(
             channel_label=f"analytic:amplitude_damping(gamma={gamma:g})",
             Q1=_clamp_zero(raw),

@@ -163,8 +163,6 @@ def _cmd_channel_inspect(args) -> str:
         if report:
             info["entanglement_breaking"] = ch.is_entanglement_breaking(channel)
             info["min_output_entropy"] = float(cap.min_output_entropy(channel))
-    else:
-        info["choi_min_eigenvalue"] = report.choi_min_eigenvalue
     if args.format == "json":
         return _json_text(info)
     flat = []

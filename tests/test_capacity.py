@@ -3,8 +3,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import OptimizeResult
 
 from qchan import (
     DensityMatrix,
@@ -34,6 +32,7 @@ from qchan.capacity import (
     _MUTUAL,
     _NEG_OUTPUT,
     _MultiStart,
+    _lbfgs,
     _min_entropy_report,
     _pure_ensemble_neg_chi,
     _seeded_starts,
@@ -107,6 +106,69 @@ class TestSeededStarts:
         assert len(list(_seeded_starts(cfg, fixed, None))) == 2
 
 
+def _rosenbrock(x):
+    a, b = x
+    grad = [-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]
+    return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2, np.array(grad)
+
+
+def _quadratic(n=50, seed=0):
+    """0.5 x.Ax - b.x with A's eigenvalues spread over [1, 100], and A, b."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = q @ np.diag(np.logspace(0.0, 2.0, n)) @ q.T
+    b = rng.standard_normal(n)
+    return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), a, b
+
+
+class TestLbfgs:
+    def test_rosenbrock_reaches_the_minimum(self):
+        x, f, nit, nfev, success = _lbfgs(_rosenbrock, [-1.2, 1.0], 500, 1e-15, 1e-10)
+        assert success
+        assert np.abs(x - 1.0).max() <= 1e-6
+        assert f <= 1e-12 and nfev >= nit
+
+    def test_convex_quadratic_meets_gtol(self):
+        fun, a, b = _quadratic()
+        x, _, _, _, success = _lbfgs(fun, np.zeros(50), 500, 0.0, 1e-6)
+        assert success
+        assert np.abs(a @ x - b).max() <= 1e-6
+
+    def test_iteration_cap_reports_failure(self):
+        fun = _quadratic()[0]
+        _, _, nit, _, success = _lbfgs(fun, np.zeros(50), 2, 0.0, 1e-6)
+        assert (nit, success) == (2, False)
+
+    def test_non_finite_trial_is_backtracked(self):
+        # the first step from 0.8 lands at -0.2, where the objective is NaN
+        seen = []
+
+        def walled(x):
+            seen.append(float(x[0]))
+            if x[0] < -0.1:
+                return math.nan, np.full(1, math.nan)
+            return float(x[0] ** 2), 2.0 * x
+
+        x, f, _, _, success = _lbfgs(walled, [0.8], 100, 0.0, 1e-10)
+        assert any(v < -0.1 for v in seen)
+        assert success and math.isfinite(f)
+        assert abs(x[0]) <= 1e-10
+
+    def test_q1_second_start_on_depolarizing_converges(self, monkeypatch):
+        # L-BFGS-B takes 10 iterations and 29 evaluations from this start
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(_lbfgs(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(capacity, "_lbfgs", recorded)
+        quantum_capacity_single_use(make_channel("depolarizing", p=0.3))
+        _, _, _, nfev, success = runs[1]
+        assert success
+        assert nfev <= 58
+
+
 class TestHswNumeric:
     def test_identity_sends_one_bit(self):
         rep = hsw_numeric(make_channel("identity"), FAST)
@@ -163,9 +225,9 @@ class TestHswNumeric:
 
         def scripted(fun, x0, **kwargs):
             val, ok = next(runs)
-            return OptimizeResult(fun=val, x=x0, success=ok, nit=1, nfev=1)
+            return x0, val, 1, 1, ok
 
-        monkeypatch.setattr(scipy.optimize, "minimize", scripted)
+        monkeypatch.setattr(capacity, "_lbfgs", scripted)
         ms = _MultiStart(FAST).run(None, [np.zeros(1), np.ones(1)])
         assert ms.best_x.tolist() == [0.0]
         assert ms.stats().converged is converged
@@ -175,9 +237,9 @@ class TestHswNumeric:
         # each start lands step below the one before: a rounding-level gain still
         # takes the lead, but only a larger one keeps the search going
         def scripted(fun, x0, **kwargs):
-            return OptimizeResult(fun=1.0 - step * x0[0], x=x0, success=True, nit=1, nfev=1)
+            return x0, 1.0 - step * x0[0], 1, 1, True
 
-        monkeypatch.setattr(scipy.optimize, "minimize", scripted)
+        monkeypatch.setattr(capacity, "_lbfgs", scripted)
         ms = _MultiStart(FAST).run(None, [np.full(1, float(k)) for k in range(16)])
         assert ms.started == started
         assert ms.best_x.tolist() == [started - 1.0]
@@ -334,14 +396,12 @@ class TestHswGeometric:
         ch = make_channel("amplitude_damping", gamma=0.3)
         rep = hsw_geometric(ch, FAST)
         assert rep.optimizer.converged is True
-        real = scipy.optimize.minimize
+        real = capacity._lbfgs
 
         def unconverged(*args, **kwargs):
-            res = real(*args, **kwargs)
-            res.success = False
-            return res
+            return real(*args, **kwargs)[:4] + (False,)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+        monkeypatch.setattr(capacity, "_lbfgs", unconverged)
         flagged = hsw_geometric(ch, FAST)
         assert flagged.optimizer.converged is False
         assert flagged.r_star == rep.r_star
@@ -738,6 +798,17 @@ class TestAnalytic:
             rep = analytic_capacity("amplitude_damping", gamma=gamma)
             assert rep.Q1 == 0.0
             assert rep.Q1_raw <= 0.0
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.49, 0.5, 0.7])
+    def test_damping_matches_a_bounded_scalar_search(self, gamma):
+        from scipy.optimize import minimize_scalar
+
+        def neg_q(tau):
+            return float(binary_entropy(gamma * tau)) - float(binary_entropy((1.0 - gamma) * tau))
+
+        res = minimize_scalar(neg_q, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-9})
+        rep = analytic_capacity("amplitude_damping", gamma=gamma)
+        assert abs(rep.Q1 - max(-float(res.fun), 0.0)) <= 1e-12
 
     @pytest.mark.parametrize("p,expected", sorted(DEPOLARIZING_CHI.items()))
     def test_depolarizing_matches_reference(self, p, expected):

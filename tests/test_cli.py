@@ -230,7 +230,8 @@ class TestChannelInspect:
         code, out, _ = run(capsys, "channel-inspect", "--kind", "erasure", "--p", "0.5")
         assert code == 0
         info = json.loads(out)
-        assert "choi_min_eigenvalue" in info
+        assert abs(info["cptp"]["choi_min_eigenvalue"]) <= 1e-12
+        assert "choi_min_eigenvalue" not in info
         assert "affine" not in info
 
 
@@ -499,6 +500,23 @@ def test_channel_inspect_leaves_scipy_optimize_unloaded():
         "import os, sys; from qchan.cli import main; "
         "code = main(['channel-inspect', '--kind', 'amplitude_damping', '--gamma', '0.3', "
         "'--out', os.devnull]); print(code, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False"
+
+
+def test_capacity_solvers_never_import_scipy():
+    """Every search, and the amplitude-damping closed form, runs on numpy and the stdlib."""
+    env = dict(os.environ)
+    src = str(Path(qchan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import os, sys; from qchan import analytic_capacity; from qchan.cli import main; "
+        "code = main(['capacity', '--kind', 'depolarizing', '--p', '0.2', '--measure', 'all', "
+        "'--out', os.devnull]); analytic_capacity('amplitude_damping', gamma=0.3); "
+        "print(code, 'scipy' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

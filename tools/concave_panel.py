@@ -103,7 +103,7 @@ def main() -> None:
         with open(args.reference) as fh:
             reference = json.load(fh)["channels"]
     channels = qubit_capacity_panel() + qudit_capacity_panel() + random_panel()
-    qchan.entanglement_assisted(channels[0])  # import scipy.optimize outside the timings
+    qchan.entanglement_assisted(channels[0])  # warm up outside the timings
     records = []
     for i, channel in enumerate(channels):
         record = {
