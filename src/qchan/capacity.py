@@ -44,10 +44,13 @@ from .channels import (
     is_unital,
 )
 from .entropy import (
+    _LN2,
     EntropyScalar,
     _bloch_divergences,
     _bloch_negentropy,
     _entropy_and_log2,
+    _from_natural,
+    _log_map,
     binary_entropy,
 )
 from .errors import InvalidChannel, InvalidParameter, Unsupported
@@ -56,14 +59,10 @@ from .repeater import _check_count
 
 _DIM_LIMIT = 8
 _TINY = 1e-300
-_LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 # Rounding noise of the entropy objectives, relative to max(|f|, 1): moving x
 # by a few ulps moves them by up to 16 eps on random channels up to 8->8
 _NOISE = 16.0 * _EPS
-# Largest Bloch radius the entropy slope -atanh(r)/ln 2 is evaluated at, so
-# that pure outputs (amplitude damping at r = 1) keep a finite gradient.
-_SLOPE_RADIUS = 1.0 - 1e-15
 # (c_rho, c_out, c_env) of the state functionals sum_X c_X S(X(rho)) that Q1
 # and P1, C_E and (as -S_min, on pure inputs) _min_entropy_report maximize
 _COHERENT = (0.0, 1.0, -1.0)
@@ -513,26 +512,6 @@ def _fibonacci_directions(n: int) -> np.ndarray:
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
-def _log_map(x: np.ndarray):
-    """(c1, c2) with L(x) = c1 x and dL/dx = c1 I + c2 x x^T, per qubit Bloch vector x.
-
-    L(x) = atanh|x| x/|x| is the natural parameter t of the state x (its log
-    is t.pauli - log(2 cosh|t|) I), so D(p || s) = 1 - S(p) - log2(1 - |s|^2)/2
-    - p.L(s)/ln 2 has gradients (L(p) - L(s))/ln 2 in p and (s - p)/ln 2 in
-    t = L(s). Radii are clipped at _SLOPE_RADIUS: pure states stay finite.
-    """
-    rad = np.minimum(np.linalg.norm(x, axis=-1), _SLOPE_RADIUS)
-    r = np.where(rad < 1e-8, 1.0, rad)
-    c1 = np.where(rad < 1e-8, 1.0, np.arctanh(r) / r)
-    return c1, np.where(rad < 1e-8, 2.0 / 3.0, (1.0 / (1.0 - r * r) - c1) / (r * r))
-
-
-def _from_natural(t: np.ndarray) -> np.ndarray:
-    """The Bloch vector tanh|t| t/|t| of natural parameter t (the inverse of L)."""
-    tau = math.sqrt(float(t @ t))
-    return t * (math.tanh(tau) / tau if tau > 0.0 else 1.0)
-
-
 def _surface_terms(aff, us: np.ndarray, s: np.ndarray):
     """(p, d, E, AE, g, H) of f(u) = D(A u + b || s) at unit inputs us (k, 3).
 
@@ -542,7 +521,8 @@ def _surface_terms(aff, us: np.ndarray, s: np.ndarray):
     """
     p = us @ aff.A.T + aff.b
     c1, c2 = _log_map(p)
-    q = (c1[:, None] * p - _log_map(s)[0] * s) / _LN2
+    t = _log_map(s)[0] * s
+    q = (c1[:, None] * p - t) / _LN2
     seed = np.where(np.abs(us[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
     e1 = seed - (seed * us).sum(axis=1)[:, None] * us
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
@@ -552,7 +532,7 @@ def _surface_terms(aff, us: np.ndarray, s: np.ndarray):
     h = c1[:, None, None] * np.einsum("kxa,kxb->kab", ae, ae)
     h = (h + c2[:, None, None] * pa[:, :, None] * pa[:, None, :]) / _LN2
     h -= ((p - aff.b) * q).sum(axis=1)[:, None, None] * np.eye(2)
-    d = _bloch_divergences(p, _bloch_negentropy(np.linalg.norm(p, axis=1)), s)
+    d = _bloch_divergences(p, _bloch_negentropy(np.linalg.norm(p, axis=1)), t)
     return p, d, frames, ae, np.einsum("kxa,kx->ka", ae, q), h
 
 
@@ -698,20 +678,19 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     t = _log_map(aff.b)[0] * aff.b  # sigma = b, the output of I/2
     # the spread of D over the grid sets the smoothing, every threshold and
     # the units of the coarse search: x = t / scale, value (F - top) / scale
-    d0 = _bloch_divergences(points, negentropy, _from_natural(t))
+    d0 = _bloch_divergences(points, negentropy, t)
     top, scale = float(d0.max()), float(np.ptp(d0))
     beta = 2000.0 / scale
 
     def smoothed_max(x):
-        s = _from_natural(scale * x)
-        d = _bloch_divergences(points, negentropy, s)
+        d = _bloch_divergences(points, negentropy, scale * x)
         e = np.exp(beta * (d - d.max()))
         value = (float(d.max()) + math.log(float(e.sum())) / beta - top) / scale
-        return value, (s - (e / e.sum()) @ points) / _LN2
+        return value, (_from_natural(scale * x) - (e / e.sum()) @ points) / _LN2
 
     x, _, nit, nfev, success = _lbfgs(smoothed_max, t / scale, **_LBFGS_DEFAULTS)
     t = scale * x
-    vals = _bloch_divergences(points, negentropy, _from_natural(t))
+    vals = _bloch_divergences(points, negentropy, t)
     mass = np.exp(beta * (vals - vals.max()))
     picked = _spread_picks(dirs, mass, 1e-3, 4)
     w = np.bincount(np.argmax(dirs @ dirs[picked].T, axis=1), weights=mass, minlength=len(picked))
@@ -720,8 +699,9 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     # chi and r* are both taken at the ensemble's own average output
     p = us @ aff.A.T + aff.b
     s = w @ p
-    chi = float(w @ _bloch_divergences(p, _bloch_negentropy(np.linalg.norm(p, axis=1)), s))
-    vals = _bloch_divergences(points, negentropy, s)
+    t = _log_map(s)[0] * s
+    chi = float(w @ _bloch_divergences(p, _bloch_negentropy(np.linalg.norm(p, axis=1)), t))
+    vals = _bloch_divergences(points, negentropy, t)
     seeds = dirs[_spread_picks(dirs, vals, float(vals.max()) - 0.05 * scale, 8)]
     _, top_vals, final = _polish_maxima(aff, seeds, s)
     r_star = max(float(top_vals.max()), chi)

@@ -140,12 +140,7 @@ def _cmd_channel_inspect(args) -> str:
         "has_kraus": channel.kraus is not None,
     }
     report = ch.is_cptp(channel)
-    info["cptp"] = {
-        "trace_preserving": report.trace_preserving,
-        "completely_positive": report.completely_positive,
-        "completeness_residual": report.completeness_residual,
-        "choi_min_eigenvalue": report.choi_min_eigenvalue,
-    }
+    info["cptp"] = dataclasses.asdict(report)
     info["unital"] = ch.is_unital(channel)
     if report:
         deg = ch.is_degradable(channel)

@@ -47,6 +47,10 @@ _KINDS = frozenset(
 _SUPPORT_TOL = 1e-12
 # Eigenvalue floor inside log2 only, so a null-space eigenvalue has a finite log
 _LOG_FLOOR = 1e-300
+_LN2 = math.log(2.0)
+# Largest Bloch radius the natural parameter atanh(r) is taken at, so that
+# pure states (amplitude damping at r = 1) keep a finite entropy slope
+_SLOPE_RADIUS = 1.0 - 1e-15
 
 
 class EntropyScalar(float):
@@ -106,24 +110,32 @@ def _bloch_negentropy(radii) -> np.ndarray:
     return 0.5 * (hi * np.log2(hi) + lo * np.log2(np.maximum(lo, _LOG_FLOOR)))
 
 
-def _bloch_sigma_terms(sigma: np.ndarray):
-    """(unit direction, log term, half log ratio) of an interior qubit sigma.
+def _log_map(x: np.ndarray):
+    """(c1, c2) with L(x) = c1 x and dL/dx = c1 I + c2 x x^T, per qubit Bloch vector x.
 
-    D(p || sigma) = (1 - S(p)) - log_term - (p . direction) * half_log_ratio;
-    all three are zero at the maximally mixed sigma.
+    L(x) = atanh|x| x/|x| is the natural parameter t of the state x (its log
+    is t.pauli - log(2 cosh|t|) I), so D(p || s) = 1 - S(p) - log2(1 - |s|^2)/2
+    - p.L(s)/ln 2 has gradients (L(p) - L(s))/ln 2 in p and (s - p)/ln 2 in
+    t = L(s). Radii are clipped at _SLOPE_RADIUS: pure states stay finite.
     """
-    r_s = min(math.sqrt(float(sigma @ sigma)), 1.0 - 1e-12)
-    if r_s == 0.0:
-        return np.zeros(3), 0.0, 0.0
-    log_term = 0.5 * math.log2(1.0 - r_s * r_s)
-    half_log_ratio = 0.5 * math.log2((1.0 + r_s) / (1.0 - r_s))
-    return sigma / r_s, log_term, half_log_ratio
+    rad = np.minimum(np.linalg.norm(x, axis=-1), _SLOPE_RADIUS)
+    r = np.where(rad < 1e-8, 1.0, rad)
+    c1 = np.where(rad < 1e-8, 1.0, np.arctanh(r) / r)
+    return c1, np.where(rad < 1e-8, 2.0 / 3.0, (1.0 / (1.0 - r * r) - c1) / (r * r))
 
 
-def _bloch_divergences(points: np.ndarray, negentropy: np.ndarray, sigma: np.ndarray):
-    """D(p || sigma) for qubit Bloch points p, given negentropy = 1 - S(p) (vectorized)."""
-    direction, log_term, half_log_ratio = _bloch_sigma_terms(sigma)
-    return (negentropy - log_term) - (points @ direction) * half_log_ratio
+def _from_natural(t: np.ndarray) -> np.ndarray:
+    """The Bloch vector tanh|t| t/|t| of natural parameter t (the inverse of L)."""
+    tau = math.sqrt(float(t @ t))
+    return t * (math.tanh(tau) / tau if tau > 0.0 else 1.0)
+
+
+def _bloch_divergences(points: np.ndarray, negentropy: np.ndarray, t: np.ndarray):
+    """D(p || sigma) for qubit Bloch points p, given negentropy = 1 - S(p) and t = L(sigma).
+
+    With sigma = tanh|t| t/|t|, -log2(1 - |sigma|^2)/2 = log2 cosh|t| (vectorized).
+    """
+    return (negentropy + math.log2(math.cosh(math.sqrt(float(t @ t))))) - (points @ t) / _LN2
 
 
 def binary_entropy(p: float) -> EntropyScalar:
@@ -192,7 +204,7 @@ def relative_entropy_bloch(r_rho, r_sigma) -> EntropyScalar:
         if np.linalg.norm(a - b) <= 1e-12:
             return EntropyScalar(0.0, "relative")
         raise InfiniteDivergence("sigma is pure and differs from rho")
-    return EntropyScalar(float(_bloch_divergences(a, _bloch_negentropy(ra), b)), "relative")
+    return EntropyScalar(float(_bloch_divergences(a, _bloch_negentropy(ra), _log_map(b)[0] * b)), "relative")
 
 
 def holevo_quantity(ensemble: Ensemble) -> EntropyScalar:
