@@ -40,8 +40,6 @@ _PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_VECS = np.reshape(_PAULIS, (4, 4))
 
 CP_TOL = 1e-9
-# is_degradable calls a square superoperator beyond this condition number uninvertible
-DEGRADABLE_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,8 @@ class DegradabilityReport:
     """Outcome of the degradability test.
 
     status is "degradable", "not_degradable" or "undetermined" (the
-    last when the channel superoperator is too ill-conditioned to invert
-    reliably). degrading_map carries the recovered map when degradable.
+    last when the degrading map is not unique and the one found is not
+    CPTP). degrading_map carries the recovered map when degradable.
     """
 
     status: str
@@ -431,6 +429,7 @@ def complementary(channel: QuantumChannel) -> QuantumChannel:
     For Kraus operators {N_i} the environment output has entries
     Tr(N_i rho N_j^dag); the returned map sends the input to that
     environment state, with one Kraus operator per output basis index.
+    Its completeness sum equals the channel's, so it is not checked again.
     """
     if channel.kraus is None:
         raise InvalidChannel("affine-only channel has no complementary map")
@@ -443,6 +442,7 @@ def complementary(channel: QuantumChannel) -> QuantumChannel:
         label=f"comp({channel.label})",
         kind="complementary",
         params=dict(channel.params),
+        trace_preserving=False,
     )
 
 
@@ -553,44 +553,33 @@ def _max_output_direction(aff: AffineMap) -> np.ndarray:
 def is_degradable(channel: QuantumChannel) -> DegradabilityReport:
     """Test whether the environment output can be produced from the channel output.
 
-    Solves D o N = N_complementary for the degrading map D on
-    superoperators and classifies D: if it is CPTP the channel is
-    degradable. When the channel superoperator cannot be inverted
-    reliably (condition number beyond DEGRADABLE_COND_LIMIT, or no exact
-    linear solution in the non-square case) the status is "undetermined".
-    A non-square superoperator leaves many solutions D, of which pinv
-    picks one, so a D that is not CPTP there proves nothing and the status
-    is "undetermined" as well (erasure(0.2) is degradable, yet its pinv
-    solution is not CP).
+    Solves D M_N = M_Nc for the degrading map D on superoperators once, by
+    pseudo-inverse (singular values below 1e-12 of the largest are dropped),
+    and decides: no exact solution means no linear D, so "not_degradable";
+    a CPTP D means "degradable". A D that is not CPTP is "not_degradable"
+    when it is the only solution (M_N of full row rank d_out^2), else
+    "undetermined": other solutions D may be CPTP (erasure(0.2) is
+    degradable, yet its pinv solution is not CP). condition_number is that
+    of the kept singular values, 1.0 when none is kept.
     """
     comp = complementary(channel)
-    m_n = _superoperator(channel)
-    m_c = _superoperator(comp)
-    n_env = comp.dim_out
-    d_out = channel.dim_out
-
-    sv = np.linalg.svd(m_n, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-    square = m_n.shape[0] == m_n.shape[1]
-    if square and cond > DEGRADABLE_COND_LIMIT:
-        return DegradabilityReport("undetermined", None, cond, math.inf)
-
-    if square:
-        d_mat = np.linalg.solve(m_n.conj().T, m_c.conj().T).conj().T
-    else:
-        d_mat = m_c @ np.linalg.pinv(m_n, rcond=1e-12)
+    m_n, m_c = _superoperator(channel), _superoperator(comp)
+    d_out, n_env = channel.dim_out, comp.dim_out
+    u, sv, vh = np.linalg.svd(m_n, full_matrices=False)
+    rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+    cond = float(sv[0] / sv[rank - 1]) if rank else 1.0
+    d_mat = (m_c @ vh[:rank].conj().T / sv[:rank]) @ u[:, :rank].conj().T
     residual = float(np.max(np.abs(d_mat @ m_n - m_c)))
     solve_tol = max(1e-9, cond * 1e-13)
     if residual > solve_tol:
         # no linear map sends the outputs to the environment outputs
-        status = "not_degradable" if square else "undetermined"
-        return DegradabilityReport(status, None, cond, residual)
+        return DegradabilityReport("not_degradable", None, cond, residual)
 
     choi_d = _choi_from_superop(d_mat, d_out, n_env)
     w, v = np.linalg.eigh((choi_d + choi_d.conj().T) / 2.0)
     tp_residual = _choi_trace_residual(choi_d, d_out, n_env)
     if w[0] < -solve_tol or tp_residual > max(1e-7, solve_tol):
-        status = "not_degradable" if square else "undetermined"
+        status = "not_degradable" if rank == d_out * d_out else "undetermined"
         return DegradabilityReport(status, None, cond, residual)
 
     ops = [

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .channels import _apply_matrix
+from .channels import _apply_matrix, complementary
 from .errors import (
     DimensionMismatch,
     InfiniteDivergence,
@@ -261,8 +261,8 @@ def renyi_entropy(rho, r: float) -> EntropyScalar:
 def environment_state(rho, channel) -> np.ndarray:
     """Environment output rho_E with entries Tr(K_i rho K_j^dag).
 
-    This is the complementary-channel output written directly in the
-    environment basis attached to the channel's Kraus operators.
+    This is the output of complementary(channel), in the environment basis
+    attached to the channel's Kraus operators.
     """
     kraus = getattr(channel, "kraus", None)
     if kraus is None:
@@ -274,8 +274,7 @@ def environment_state(rho, channel) -> np.ndarray:
         )
     if completeness_residual(kraus) > COMPLETENESS_TOL:
         raise InvalidChannel("Kraus completeness fails")
-    ks = np.asarray(kraus)
-    return np.einsum("ioa,ab,job->ij", ks, m, ks.conj())
+    return _apply_matrix(complementary(channel), m)
 
 
 def coherent_information(rho, channel):

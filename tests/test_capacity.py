@@ -31,11 +31,10 @@ from qchan.capacity import (
     _COHERENT,
     _MUTUAL,
     _NEG_OUTPUT,
-    _MultiStart,
     _lbfgs,
     _min_entropy_report,
     _pure_ensemble_neg_chi,
-    _seeded_starts,
+    _search,
     _state_gradient,
     _state_neg_value,
 )
@@ -91,19 +90,35 @@ class TestOptimizerConfig:
             OptimizerConfig(tolerance=1e-6)
 
 
-class TestSeededStarts:
-    def test_fixed_starts_then_seeded_draws(self):
-        cfg = OptimizerConfig(restarts=5, seed=4)
-        starts = list(_seeded_starts(cfg, [np.zeros(3)], lambda rng: rng.standard_normal(3)))
-        assert len(starts) == 5
-        assert starts[0].tolist() == [0.0, 0.0, 0.0]
-        draws = np.random.default_rng(4).standard_normal((4, 3))
-        assert np.array_equal(np.array(starts[1:]), draws)
+def _scripted_lbfgs(monkeypatch, value):
+    """Replace _lbfgs by one that returns (x0, value(x0), 1, 1, True); returns the starts it saw."""
+    seen = []
 
-    def test_fixed_starts_are_cut_at_restarts(self):
+    def scripted(fun, x0, *limits):
+        seen.append(np.array(x0))
+        return x0, value(x0), 1, 1, True
+
+    monkeypatch.setattr(capacity, "_lbfgs", scripted)
+    return seen
+
+
+class TestSeededStarts:
+    def test_fixed_starts_then_seeded_draws(self, monkeypatch):
+        # a strictly falling value keeps the plateau rule from stopping the search
+        seen = _scripted_lbfgs(monkeypatch, lambda x0: -float(len(seen)))
+        cfg = OptimizerConfig(restarts=5, seed=4)
+        _search(None, [np.zeros(3)], lambda rng: rng.standard_normal(3), cfg, (1, 0.0, 0.0))
+        assert len(seen) == 5
+        assert seen[0].tolist() == [0.0, 0.0, 0.0]
+        draws = np.random.default_rng(4).standard_normal((4, 3))
+        assert np.array_equal(np.array(seen[1:]), draws)
+
+    def test_fixed_starts_are_cut_at_restarts(self, monkeypatch):
+        seen = _scripted_lbfgs(monkeypatch, lambda x0: -float(x0[0]))
         cfg = OptimizerConfig(restarts=2)
         fixed = [np.full(2, k) for k in range(4)]
-        assert len(list(_seeded_starts(cfg, fixed, None))) == 2
+        _, _, stats = _search(None, fixed, None, cfg, (1, 0.0, 0.0))
+        assert len(seen) == stats.restarts == 2
 
 
 def _rosenbrock(x):
@@ -158,8 +173,8 @@ class TestLbfgs:
         # L-BFGS-B takes 10 iterations and 29 evaluations from this start
         runs = []
 
-        def recorded(*args, **kwargs):
-            runs.append(_lbfgs(*args, **kwargs))
+        def recorded(*args):
+            runs.append(_lbfgs(*args))
             return runs[-1]
 
         monkeypatch.setattr(capacity, "_lbfgs", recorded)
@@ -212,10 +227,9 @@ class TestHswNumeric:
         ch = make_channel("erasure", p=0.2)
         m, d = 4, ch.dim_in
         start = np.random.default_rng(3).standard_normal(2 * m * d + m)
-        ms = _MultiStart(FAST).run(
-            _pure_ensemble_neg_chi(ch.kraus, m, d), [start], options={"maxiter": 2}
-        )
-        assert ms.stats().converged is False
+        neg_chi = _pure_ensemble_neg_chi(ch.kraus, m, d)
+        _, _, stats = _search(neg_chi, [start], None, OptimizerConfig(1), (2, 1e-13, 1e-8))
+        assert stats.converged is False
 
     @pytest.mark.parametrize("second,converged", [(0.0, True), (1.0, False)])
     def test_converged_tie_confirms_the_winner(self, monkeypatch, second, converged):
@@ -223,26 +237,25 @@ class TestHswNumeric:
         # confirms the optimum, one that lands higher does not
         runs = iter([(0.0, False), (second, True)])
 
-        def scripted(fun, x0, **kwargs):
+        def scripted(fun, x0, *limits):
             val, ok = next(runs)
             return x0, val, 1, 1, ok
 
         monkeypatch.setattr(capacity, "_lbfgs", scripted)
-        ms = _MultiStart(FAST).run(None, [np.zeros(1), np.ones(1)])
-        assert ms.best_x.tolist() == [0.0]
-        assert ms.stats().converged is converged
+        fixed = [np.zeros(1), np.ones(1)]
+        x, _, stats = _search(None, fixed, None, OptimizerConfig(2), (1, 0.0, 0.0))
+        assert x.tolist() == [0.0]
+        assert stats.converged is converged
 
     @pytest.mark.parametrize("step,started", [(2e-15, 8), (1e-9, 16)])
     def test_only_a_gain_past_rounding_restarts_the_plateau(self, monkeypatch, step, started):
         # each start lands step below the one before: a rounding-level gain still
         # takes the lead, but only a larger one keeps the search going
-        def scripted(fun, x0, **kwargs):
-            return x0, 1.0 - step * x0[0], 1, 1, True
-
-        monkeypatch.setattr(capacity, "_lbfgs", scripted)
-        ms = _MultiStart(FAST).run(None, [np.full(1, float(k)) for k in range(16)])
-        assert ms.started == started
-        assert ms.best_x.tolist() == [started - 1.0]
+        _scripted_lbfgs(monkeypatch, lambda x0: 1.0 - step * x0[0])
+        fixed = [np.full(1, float(k)) for k in range(16)]
+        x, _, stats = _search(None, fixed, None, FAST, (1, 0.0, 0.0))
+        assert stats.restarts == started
+        assert x.tolist() == [started - 1.0]
 
     def test_general_path_evaluation_guard(self):
         # finite differences spent 1,743 evaluations here
@@ -398,8 +411,8 @@ class TestHswGeometric:
         assert rep.optimizer.converged is True
         real = capacity._lbfgs
 
-        def unconverged(*args, **kwargs):
-            return real(*args, **kwargs)[:4] + (False,)
+        def unconverged(*args):
+            return real(*args)[:4] + (False,)
 
         monkeypatch.setattr(capacity, "_lbfgs", unconverged)
         flagged = hsw_geometric(ch, FAST)
@@ -679,6 +692,17 @@ class TestConcaveCertificate:
         # a lone M = I start is 0.36 and 0.20 bits low on these two
         rep = quantum_capacity_single_use(ch)
         assert rep.optimizer.restarts >= 8
+        assert rep.optimizer.certificate_residual is None
+
+    @pytest.mark.parametrize("ch", [
+        make_channel("erasure", p=1.0),
+        make_channel("mixed_erasure", p=0.5, q=0.5),
+    ], ids=lambda ch: ch.label)
+    def test_q1_raw_is_not_the_minimum_on_non_degradable_erasure(self, ch):
+        # I_coh is 0 at every pure input; a "certificate" at the maximally mixed
+        # input, the minimum (-1.0 and -0.5), once stood in for the maximum
+        rep = quantum_capacity_single_use(ch)
+        assert rep.Q1_raw >= -1e-9
         assert rep.optimizer.certificate_residual is None
 
     @pytest.mark.parametrize("ch,coeffs", [

@@ -28,7 +28,13 @@ from qchan import (
     to_bloch,
 )
 from qchan.capacity import _NEG_OUTPUT, _state_gradient, _state_neg_value
-from qchan.channels import CHANNEL_KINDS, MAX_DIM, AffineMap, _max_output_radius
+from qchan.channels import (
+    CHANNEL_KINDS,
+    MAX_DIM,
+    AffineMap,
+    _max_output_radius,
+    _superoperator,
+)
 from qchan.errors import (
     DimensionMismatch,
     InvalidChannel,
@@ -538,6 +544,45 @@ class TestDegradability:
         # erasure(0.2) is degradable (erase its output with probability 0.75), but the
         # 9 x 4 superoperator leaves many degrading maps and pinv picks one that is not CP
         assert is_degradable(make_channel("erasure", p=0.2)).status == "undetermined"
+
+    @pytest.mark.parametrize("ch", [
+        make_channel("erasure", p=1.0),
+        make_channel("erasure", p=1.0, d=3),
+        make_channel("mixed_erasure", p=0.5, q=0.5),
+        make_channel("phase_erasure", q=1.0),
+        make_channel("dephasing", p=0.3),
+        make_channel("amplitude_damping", gamma=0.2),
+        make_channel("bit_flip", p=0.5),
+        make_channel("measure_prepare"),
+    ], ids=lambda ch: ch.label)
+    def test_degradable_verdict_carries_a_cptp_degrading_map(self, ch):
+        # erasure(1) and mixed_erasure(0.5, 0.5) once read degradable with residual 1.0 and 0.5
+        report = is_degradable(ch)
+        if report.status != "degradable":
+            return
+        assert report.residual <= 1e-9
+        assert is_cptp(report.degrading_map)
+        composed = _superoperator(report.degrading_map) @ _superoperator(ch)
+        assert np.max(np.abs(composed - _superoperator(complementary(ch)))) <= 1e-9
+
+    @pytest.mark.parametrize("ch,status", [
+        (make_channel("amplitude_damping", gamma=1.0), "not_degradable"),
+        (make_channel("depolarizing", p=1.0), "not_degradable"),
+        (random_cptp_channel(3, 2, 2, np.random.default_rng(0)), "not_degradable"),
+        (make_channel("erasure", p=1.0), "not_degradable"),
+        (make_channel("bit_flip", p=0.5), "degradable"),
+        (make_channel("measure_prepare"), "degradable"),
+    ], ids=lambda v: getattr(v, "label", v))
+    def test_verdicts(self, ch, status):
+        report = is_degradable(ch)
+        assert report.status == status
+        assert np.isfinite([report.condition_number, report.residual]).all()
+
+    def test_zero_superoperator_is_undetermined(self):
+        zero = QuantumChannel([np.zeros((2, 2))], 2, 2, trace_preserving=False)
+        report = is_degradable(zero)
+        assert report.status == "undetermined"
+        assert report.condition_number == 1.0
 
     def test_degrading_map_reproduces_environment(self, rng):
         ch = make_channel("amplitude_damping", gamma=0.2)

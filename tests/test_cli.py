@@ -205,6 +205,20 @@ class TestChannelInspect:
         assert info["degradable"]["status"] == "degradable"
         assert info["entanglement_breaking"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "depolarizing", "--p", "1"),
+        ("--kind", "erasure", "--p", "1"),
+    ], ids=" ".join)
+    def test_json_is_strict(self, capsys, argv):
+        # both once printed an Infinity condition number, which strict JSON has no word for
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, _ = run(capsys, "channel-inspect", *argv)
+        assert code == 0
+        info = json.loads(out, parse_constant=refuse)
+        assert info["degradable"]["status"] == "not_degradable"
+
     def test_affine_witness_reported_without_kraus_fields(self, capsys):
         code, out, _ = run(capsys, "channel-inspect", "--kind", "pancake")
         assert code == 0

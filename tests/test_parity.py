@@ -28,6 +28,8 @@ def run_slice() -> list:
 def test_benchmark_channels_match_the_stored_run():
     records = run_slice()
     stored = json.loads(FIXTURE.read_text())["channels"]
+    # Q1's search path (certified single start or multi-start) follows the verdict
+    assert [r["degradable"] for r in records] == [r["degradable"] for r in stored]
     for solver, diff in parity.compare(records, stored).items():
         for name, field in diff["fields"].items():
             assert field["max_abs_delta"] <= 1e-9, (solver, name, field)
