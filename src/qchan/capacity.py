@@ -11,14 +11,15 @@ The chi kernel (_pure_ensemble_neg_chi) serves hsw_numeric only. The
 state kernel (_state_neg_value) serves Q1, whose one search also gives
 P1 (= max I_coh), C_E and the qudit S_min, all through one search
 routine (_maximize_state_functional). Every search runs one numpy
-L-BFGS (_lbfgs, with a More-Thuente line search) through one multi-start
-function (_search: a solver's fixed starts, then seeded draws, run in
-order, lowest start index wins ties), so all solvers are deterministic
-for a fixed OptimizerConfig seed; hsw_geometric's coarse centre comes
-from the same _lbfgs. A concave search (C_E always, Q1 on a degradable
-channel) passes _search a Frank-Wolfe certificate and stops after its
-first start when the certificate holds there. Every capacity is a
-one-use optimum, which lower-bounds the regularized one.
+L-BFGS (_lbfgs_steps, More-Thuente line search) through one multi-start
+function (_search: a solver's fixed starts, then seeded draws, lowest
+start index wins ties), which runs every live start in one kernel call
+per round and reads the results in start order, so all solvers are
+deterministic for a fixed OptimizerConfig seed; hsw_geometric's coarse
+centre comes from one _lbfgs run. A concave search (C_E always, Q1 on
+a degradable channel) passes _search a Frank-Wolfe certificate and
+stops after its first start when the certificate holds there. Every
+capacity is a one-use optimum, which lower-bounds the regularized one.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ import numpy as np
 from .channels import (
     CHANNEL_KINDS,
     QuantumChannel,
+    _degradability,
     _max_output_direction,
     _max_output_radius,
     _superoperator,
     affine_representation,
     complementary,
-    from_kraus,
     is_cptp,
-    is_degradable,
     is_unital,
 )
 from .entropy import (
@@ -143,11 +143,6 @@ def _clamp_zero(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def _softmax(w: np.ndarray) -> np.ndarray:
-    e = np.exp(w - w.max())
-    return e / e.sum()
-
-
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
     """One safeguarded step of the More-Thuente search, as MINPACK-2's dcstep.
 
@@ -205,9 +200,10 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def _line_search(fun: Callable, x, f: float, g, d, gd: float, stp: float):
+def _line_search(x, f: float, g, d, gd: float, stp: float):
     """Strong-Wolfe step along d from (x, f, g), gd = g.d < 0: (stp, x, f, g, nfev).
 
+    A generator: it yields each trial point and is sent its (value, gradient).
     MINPACK-2's dcsrch (More & Thuente, ACM TOMS 20, 1994) with L-BFGS-B's
     constants: sufficient decrease c1 = 1e-3, curvature c2 = 0.9, at most
     20 evaluations and steps in [0, 1e10]. Sufficient decrease holds up to
@@ -230,7 +226,7 @@ def _line_search(fun: Callable, x, f: float, g, d, gd: float, stp: float):
     cap = math.inf  # the smallest step whose value was not finite
     for nfev in range(1, 21):
         trial = x + stp * d
-        ft, gt = fun(trial)
+        ft, gt = yield trial
         ft = float(ft)
         if not (math.isfinite(ft) and np.isfinite(gt).all()):
             cap = stp
@@ -272,8 +268,9 @@ def _line_search(fun: Callable, x, f: float, g, d, gd: float, stp: float):
     return (None,) + best + (nfev,)
 
 
-def _lbfgs(fun: Callable, x0, maxiter: int, ftol: float, gtol: float):
-    """Minimize fun(x) -> (value, gradient) from x0: (x, f, nit, nfev, success).
+def _lbfgs_steps(x0, maxiter: int, ftol: float, gtol: float):
+    """Minimize from x0 as a generator: it yields each point whose (value, gradient)
+    it needs, is sent that pair, and returns (x, f, nit, nfev, success).
 
     Unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989): memory 10,
     the two-loop recursion with H0 = (s.y / y.y) I from the newest pair, a
@@ -285,7 +282,7 @@ def _lbfgs(fun: Callable, x0, maxiter: int, ftol: float, gtol: float):
     left to reset; one with memory clears it and restarts along -g.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
+    f, g = yield x
     f, nit, nfev = float(f), 0, 1
     if not (math.isfinite(f) and np.isfinite(g).all()):
         return x, f, nit, nfev, False
@@ -303,7 +300,7 @@ def _lbfgs(fun: Callable, x0, maxiter: int, ftol: float, gtol: float):
         gd = float(g.dot(d))
         stp = min(1.0 / math.sqrt(float(d.dot(d))), 1e10) if nit == 0 else 1.0
         stp, x_new, f_new, g_new, used = (
-            _line_search(fun, x, f, g, d, gd, stp) if gd < 0.0 else (None, x, f, g, 0)
+            (yield from _line_search(x, f, g, d, gd, stp)) if gd < 0.0 else (None, x, f, g, 0)
         )
         nfev += used
         if stp is None:
@@ -326,46 +323,82 @@ def _lbfgs(fun: Callable, x0, maxiter: int, ftol: float, gtol: float):
     return x, f, nit, nfev, True
 
 
+def _lbfgs(fun: Callable, x0, maxiter: int, ftol: float, gtol: float):
+    """Minimize fun(x) -> (value, gradient) from x0 by _lbfgs_steps: (x, f, nit, nfev, success)."""
+    steps = _lbfgs_steps(x0, maxiter, ftol, gtol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(fun(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _lockstep(objective: Callable, starts, limits) -> list:
+    """One _lbfgs_steps run per start, advanced together: their results, in start order.
+
+    Each round stacks the points of the runs still going into one (B, n)
+    array, makes one objective call, which returns (values (B,), gradients
+    (B, n)), and sends each run its row. limits = (maxiter, ftol, gtol).
+    """
+    runs = [_lbfgs_steps(x0, *limits) for x0 in starts]
+    points = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while points:
+        values, grads = objective(np.stack(list(points.values())))
+        for i, f, g in zip(list(points), values, grads):
+            try:
+                points[i] = runs[i].send((f, g))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del points[i]
+    return results
+
+
 def _search(objective: Callable, fixed, draw: Callable, cfg: OptimizerConfig, limits, certify=None):
-    """Sequential multi-start _lbfgs minimization: (x, value, OptimizerStats).
+    """Multi-start _lbfgs_steps minimization, in lockstep batches: (x, value, OptimizerStats).
 
     Starts are the rows of fixed, then draw(rng) from default_rng(cfg.seed),
     cfg.restarts in all; draws are made lazily, so the k-th start is the
-    same whenever the search reaches it. limits = (maxiter, ftol, gtol) of
-    every _lbfgs run; objective returns (value, gradient). The best result
-    wins (earliest start on ties), and the search stops once at least 8
-    starts ran and 6 in a row failed to improve on the best by more than
-    1e-12 * max(1, |best|). converged is the winner's success flag, or True
-    when a later start tied it within 1e-15 and converged.
+    same whenever the search reaches it. objective and limits are
+    _lockstep's. The best result wins (earliest start on ties), and the
+    search stops once at least 8 starts ran and 6 in a row failed to
+    improve on the best by more than 1e-12 * max(1, |best|). converged is
+    the winner's success flag, or True when a later start tied it within
+    1e-15 and converged. Each batch holds the fewest starts that the
+    plateau rule must run before it could stop, all run by one _lockstep;
+    results are read in start order, so stop point, stats and winner are
+    those of a sequential run, and no start past the stop point runs.
 
     With certify(x) -> certificate residual (a concave objective), the
-    search also stops after the first start when its residual is at most
-    _CERTIFIED_GAP; otherwise it goes on exactly as without certify and
-    certifies the final winner.
+    first start runs alone and the search stops there when its residual is
+    at most _CERTIFIED_GAP; otherwise it goes on exactly as without
+    certify and certifies the final winner.
     """
     rng = np.random.default_rng(cfg.seed)
     best_x, best, runner_up, converged = None, math.inf, math.inf, True
-    iterations = evaluations = stale = 0
-    certificate = None
-    for started in range(1, cfg.restarts + 1):
-        x0 = fixed[started - 1] if started <= len(fixed) else draw(rng)
-        x, val, nit, nfev, success = _lbfgs(objective, x0, *limits)
-        iterations += nit
-        evaluations += nfev
-        # a rounding-level gain may take the lead, but does not restart the plateau
-        stale = 0 if val < best - 1e-12 * max(1.0, abs(val)) else stale + 1
-        if val < best - 1e-15:
-            best_x, best, runner_up, converged = x, val, best, success
-        else:
-            # a tie that converged confirms the optimum the winner found
-            converged |= val <= best + 1e-15 and success
-            runner_up = min(runner_up, val)
+    started = iterations = evaluations = stale = 0
+    certificate, stop = None, False
+    while not stop and started < cfg.restarts:
+        end = 1 if certify is not None and started == 0 else max(8, started + 6 - stale)
+        batch = range(started, min(end, cfg.restarts))
+        starts = [fixed[k] if k < len(fixed) else draw(rng) for k in batch]
+        for x, val, nit, nfev, success in _lockstep(objective, starts, limits):
+            started += 1
+            iterations += nit
+            evaluations += nfev
+            # a rounding-level gain may take the lead, but does not restart the plateau
+            stale = 0 if val < best - 1e-12 * max(1.0, abs(val)) else stale + 1
+            if val < best - 1e-15:
+                best_x, best, runner_up, converged = x, val, best, success
+            else:
+                # a tie that converged confirms the optimum the winner found
+                converged |= val <= best + 1e-15 and success
+                runner_up = min(runner_up, val)
         if certify is not None and started == 1:
             certificate = certify(best_x)
-            if certificate <= _CERTIFIED_GAP:
-                break
-        if started >= 8 and stale >= 6:
-            break
+            stop = certificate <= _CERTIFIED_GAP
+        stop = stop or (started >= 8 and stale >= 6)
     if certify is not None and started > 1:
         certificate = certify(best_x)
     # best vs runner-up; None when no second start ran
@@ -375,57 +408,61 @@ def _search(objective: Callable, fixed, draw: Callable, cfg: OptimizerConfig, li
 
 
 def _unpack_vector_ensemble(t: np.ndarray, m: int, d: int):
-    """(states psi_k, weights w, norms |a_k|) of t = (x_1, y_1, ..., logits).
+    """(states psi_k, weights w, norms |a_k|) of each row t = (x_1, y_1, ..., logits).
 
-    Amplitudes a_k = x_k + i y_k; a member with |a_k| < 1e-12 becomes e_0
-    and its norm is reported as inf, so a gradient divided by it vanishes.
+    t is a (B, n) stack; each output has a leading batch axis. Amplitudes
+    a_k = x_k + i y_k; a member with |a_k| < 1e-12 becomes e_0 and its
+    norm is reported as inf, so a gradient divided by it vanishes.
     """
-    seg = t[: 2 * m * d].reshape(m, 2, d)
-    norms = np.sqrt((seg * seg).sum(axis=(1, 2)))
-    psi = seg[:, 0] + 1j * seg[:, 1]
-    if norms.min() >= 1e-12:
-        psi /= norms[:, None]
-    else:
-        dead = norms < 1e-12
-        norms[dead] = math.inf
-        psi /= norms[:, None]
-        psi[dead, 0] = 1.0
-    return psi, _softmax(t[2 * m * d :]), norms
+    seg = t[:, : 2 * m * d].reshape(len(t), m, 2, d)
+    norms = np.sqrt((seg * seg).sum(axis=(2, 3)))
+    psi = seg[:, :, 0] + 1j * seg[:, :, 1]
+    dead = norms < 1e-12
+    norms[dead] = math.inf
+    psi /= norms[..., None]
+    psi[dead, 0] = 1.0
+    logits = t[:, 2 * m * d :]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return psi, e / e.sum(axis=1, keepdims=True), norms
 
 
 def _pure_ensemble_neg_chi(kraus, m: int, d: int) -> Callable:
-    """-chi of an m-member ensemble of pure inputs, with its gradient.
+    """-chi of an m-member ensemble of pure inputs, with its gradient, per row of a stack.
 
-    The objective takes t = (x_1, y_1, ..., x_m, y_m, logits), unpacked by
-    _unpack_vector_ensemble. With v_ki = K_i psi_k, out_k = sum_i v_ki v_ki^dag
+    The objective takes a (B, n) stack of t = (x_1, y_1, ..., x_m, y_m,
+    logits), unpacked by _unpack_vector_ensemble, and returns (values (B,),
+    gradients (B, n)). With v_ki = K_i psi_k, out_k = sum_i v_ki v_ki^dag
     and avg = sum_k w_k out_k, -chi = sum_k w_k S(out_k) - S(avg). Its
     differential in out_k is Tr(M_k d out_k) with M_k = w_k (log2 avg - log2 out_k).
     Eigenvalues are floored inside log2 only: every v_ki lies in the range
     of out_k and of avg, so the null-space block never reaches the gradient.
+    Each row's products are the ones a single t takes (matrix-vector ones
+    as matmuls with a unit axis), so a row's result does not depend on B.
     """
     ks = np.asarray(kraus, dtype=complex)
     n, d_out = ks.shape[:2]
     # the Kraus operators stacked as one (n d_out) x d matrix: K psi holds every v_ki
     k_t = ks.reshape(n * d_out, d).T.copy()
     k_conj2 = 2.0 * ks.reshape(n * d_out, d).conj()
-    outs = np.empty((m + 1, d_out, d_out), dtype=complex)  # out_1..out_m, then avg
 
     def neg_chi(t):
+        b = len(t)
         psi, w, norms = _unpack_vector_ensemble(t, m, d)
-        v = (psi @ k_t).reshape(m, n, d_out)
-        np.matmul(v.transpose(0, 2, 1), v.conj(), out=outs[:m])
-        flat = outs[:m].reshape(m, -1)
-        outs[m] = (w @ flat).reshape(d_out, d_out)
+        v = (psi @ k_t).reshape(b, m, n, d_out)
+        outs = np.empty((b, m + 1, d_out, d_out), dtype=complex)  # out_1..out_m, then avg
+        np.matmul(v.swapaxes(2, 3), v.conj(), out=outs[:, :m])
+        flat = outs[:, :m].reshape(b, m, -1)
+        outs[:, m] = (w[:, None] @ flat).reshape(b, d_out, d_out)
         ent, logm = _entropy_and_log2(outs)
-        mk = w[:, None, None] * (logm[m] - logm[:m])
-        g = (v @ mk.transpose(0, 2, 1)).reshape(m, -1) @ k_conj2
-        g = (g - (psi.conj() * g).sum(axis=1).real[:, None] * psi) / norms[:, None]
-        d_w = ent[:m] + (flat @ logm[m].T.reshape(-1)).real
-        grad = np.empty(2 * m * d + m)
-        members = grad[: 2 * m * d].reshape(m, 2, d)
-        members[:, 0], members[:, 1] = g.real, g.imag
-        grad[2 * m * d :] = w * (d_w - w @ d_w)
-        return float(w @ ent[:m] - ent[m]), grad
+        mk = w[:, :, None, None] * (logm[:, m:] - logm[:, :m])
+        g = (v @ mk.swapaxes(2, 3)).reshape(b, m, -1) @ k_conj2
+        g = (g - (psi.conj() * g).sum(axis=2).real[..., None] * psi) / norms[..., None]
+        d_w = ent[:, :m] + (flat @ logm[:, m].swapaxes(1, 2).reshape(b, -1, 1))[..., 0].real
+        grad = np.empty((b, 2 * m * d + m))
+        members = grad[:, : 2 * m * d].reshape(b, m, 2, d)
+        members[:, :, 0], members[:, :, 1] = g.real, g.imag
+        grad[:, 2 * m * d :] = w * (d_w - (w[:, None] @ d_w[..., None])[..., 0])
+        return (w[:, None] @ ent[:, :m, None])[:, 0, 0] - ent[:, m], grad
 
     return neg_chi
 
@@ -453,7 +490,7 @@ def hsw_numeric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None) 
         cfg,
         (200, 1e-13, 1e-8),
     )
-    psi, w, _ = _unpack_vector_ensemble(x, m, d)
+    psi, w, _ = (a[0] for a in _unpack_vector_ensemble(x[None], m, d))
     keep = w > 1e-4
     states = [DensityMatrix(np.outer(amp, amp.conj()), repair=True) for amp in psi[keep]]
     chi = _clamp_zero(-neg_chi)
@@ -683,28 +720,21 @@ def hsw_geometric(channel: QuantumChannel, cfg: Optional[OptimizerConfig] = None
     )
 
 
-def _state_linear_forms(kraus) -> np.ndarray:
-    """Rows F_ab, one per input matrix unit |a><b|, with vec(rho) @ F = (N(rho), env(rho)).
-
-    The channel output and the environment matrix env_ij = Tr(K_i rho K_j^dag)
-    are the images of rho under the channel and its complementary channel;
-    each row holds the two matrices flattened and concatenated, so one
-    product per evaluation yields both.
-    """
-    channel = from_kraus(kraus)
-    forms = np.vstack([_superoperator(channel), _superoperator(complementary(channel))])
-    return np.ascontiguousarray(forms.T)  # one contiguous row per input matrix unit
-
-
-def _state_gradient(kraus, coeffs) -> Callable:
+def _state_gradient(channel: QuantumChannel, coeffs, superops=None) -> Callable:
     """evaluate(x) -> (f, G, rho, M, t), f = c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)).
 
-    x = (Re M, Im M), M d x r flattened (r = d, or 1 for a pure state, read
-    from len(x)); rho = M M^dag / t, t = Tr M M^dag; c_X = 0 skips S(X).
+    x is a (B, n) stack of rows (Re M, Im M), M d x r flattened (r = d, or
+    1 for a pure state); each output has a leading batch axis. rho = M M^dag
+    / t, t = Tr M M^dag; c_X = 0 skips S(X). superops = (M_N, M_Nc) of the
+    channel and its complementary channel, when the caller has them.
+
+    Row |a><b| of the forms matrix F holds N(|a><b|) and env(|a><b|), env_ij
+    = Tr(K_i rho K_j^dag), flattened, so vec(rho) @ F gives both images.
     G = sum_X c_X X^dag(-log2 X(rho)) is the Hermitian rho-gradient, the
-    adjoints of N and env taken from the forms matrix F as F @ vec(L^T);
-    every X preserves trace, so the -1/ln 2 term of dS, a multiple of I, is
-    left out: neither the projected gradient nor the Frank-Wolfe gap sees it.
+    adjoints taken as F @ vec(L^T); every X preserves trace, so the -1/ln 2
+    term of dS, a multiple of I, is left out: neither the projected gradient
+    nor the Frank-Wolfe gap sees it. The products with F are matrix-vector
+    ones per row (matmuls with a unit axis): a row's result does not depend on B.
 
     Rank-deficient X(rho): for full-rank rho its null space is that of X(I),
     which no dX reaches. A further null vector needs a singular M (amplitude
@@ -714,40 +744,41 @@ def _state_gradient(kraus, coeffs) -> Callable:
     gradient, which stays the exact derivative in M on the boundary of the
     state space; only the Frank-Wolfe gap sees it there, as a large G.
     """
-    forms = _state_linear_forms(kraus)
-    (d_out, d), n = kraus[0].shape, len(kraus)
+    m_n, m_c = superops or (_superoperator(channel), _superoperator(complementary(channel)))
+    forms = np.ascontiguousarray(np.vstack([m_n, m_c]).T)  # one contiguous row per |a><b|
+    d_out, d, n = channel.dim_out, channel.dim_in, len(channel.kraus)
     cut = d_out * d_out
     c_rho, c_out, c_env = coeffs
     forms = forms if c_env else np.ascontiguousarray(forms[:, :cut])  # N's columns only
 
     def evaluate(x):
-        r = len(x) // (2 * d)
-        m = (x[: d * r] + 1j * x[d * r :]).reshape(d, r)
-        p = m @ m.conj().T
-        t = float(np.trace(p).real)
-        if t < 1e-12:  # a vanishing M stands for the first r basis states
-            m = np.eye(d, r)
-            p, t = m @ m.T, float(r)
-        rho = p / t
-        flat = rho.reshape(-1) @ forms
-        s_out, log_out = _entropy_and_log2(flat[:cut].reshape(d_out, d_out))
-        value, back = c_out * s_out, c_out * log_out.T.reshape(-1)
+        b, r = len(x), x.shape[1] // (2 * d)
+        m = (x[:, : d * r] + 1j * x[:, d * r :]).reshape(b, d, r)
+        p = m @ m.conj().swapaxes(1, 2)
+        t = np.trace(p, axis1=1, axis2=2).real
+        dead = t < 1e-12  # a vanishing M stands for the first r basis states
+        if dead.any():
+            m[dead], p[dead], t[dead] = np.eye(d, r), np.eye(d, r) @ np.eye(r, d), r
+        rho = p / t[:, None, None]
+        flat = (rho.reshape(b, 1, -1) @ forms)[:, 0]
+        s_out, log_out = _entropy_and_log2(flat[:, :cut].reshape(b, d_out, d_out))
+        value, back = c_out * s_out, c_out * log_out.swapaxes(1, 2).reshape(b, -1)
         if c_env:
-            s_env, log_env = _entropy_and_log2(flat[cut:].reshape(n, n))
+            s_env, log_env = _entropy_and_log2(flat[:, cut:].reshape(b, n, n))
             value += c_env * s_env
-            back = np.concatenate((back, c_env * log_env.T.reshape(-1)))
-        g = -(forms @ back).reshape(d, d).T
+            back = np.concatenate((back, c_env * log_env.swapaxes(1, 2).reshape(b, -1)), axis=1)
+        g = -(forms @ back[:, :, None]).reshape(b, d, d).swapaxes(1, 2)
         if c_rho:
             s_rho, log_rho = _entropy_and_log2(rho)
             value += c_rho * s_rho
             g -= c_rho * log_rho
-        return float(value), g, rho, m, t
+        return value, g, rho, m, t
 
     return evaluate
 
 
 def _state_neg_value(evaluate: Callable) -> Callable:
-    """-f and its gradient in x for the evaluate of _state_gradient.
+    """-f and its gradient in x, per row, for the evaluate of _state_gradient.
 
     Tr(d rho) = 0, so with H = G - Tr(G rho) I the gradient is
     (2/t) (Re HM, Im HM).
@@ -755,8 +786,9 @@ def _state_neg_value(evaluate: Callable) -> Callable:
 
     def neg_value(x):
         value, g, rho, m, t = evaluate(x)
-        hm = (2.0 / t) * ((g - np.trace(g @ rho).real * np.eye(len(g))) @ m)
-        return -value, -np.concatenate((hm.real.reshape(-1), hm.imag.reshape(-1)))
+        shift = np.trace(g @ rho, axis1=1, axis2=2).real[:, None, None] * np.eye(g.shape[1])
+        hm = ((2.0 / t)[:, None, None] * ((g - shift) @ m)).reshape(len(x), -1)
+        return -value, -np.concatenate((hm.real, hm.imag), axis=1)
 
     return neg_value
 
@@ -770,7 +802,7 @@ def _frank_wolfe_gap(evaluate: Callable) -> Callable:
     """
 
     def certify(x):
-        _, g, rho, _, _ = evaluate(x)
+        g, rho = (a[0] for a in evaluate(x[None])[1:3])
         lam = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
         gap = float(lam[-1]) - float((g * rho.T).sum().real)
         margin = 8.0 * _EPS * len(g) * float(np.abs(lam).max())
@@ -780,7 +812,7 @@ def _frank_wolfe_gap(evaluate: Callable) -> Callable:
 
 
 def _maximize_state_functional(
-    channel: QuantumChannel, cfg: OptimizerConfig, coeffs, concave=False, fixed=None
+    channel: QuantumChannel, cfg: OptimizerConfig, coeffs, concave=False, fixed=None, superops=None
 ):
     """Maximize c_rho S(rho) + c_out S(N(rho)) + c_env S(env(rho)): (maximum, stats).
 
@@ -788,12 +820,13 @@ def _maximize_state_functional(
     maximally mixed input), then seeded draws of the same length. A caller
     that knows the functional is concave passes concave=True: the search
     then stops after the first start when its Frank-Wolfe gap certifies it
-    (see _search), and stats.certificate_residual holds the gap.
+    (see _search), and stats.certificate_residual holds the gap. superops
+    goes to _state_gradient.
     """
     if fixed is None:
         d = channel.dim_in
         fixed = [np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])]
-    evaluate = _state_gradient(channel.kraus, coeffs)
+    evaluate = _state_gradient(channel, coeffs, superops)
     _, neg_best, stats = _search(
         _state_neg_value(evaluate),
         fixed,
@@ -825,8 +858,10 @@ def quantum_capacity_single_use(
     """
     cfg = cfg or DEFAULT_CONFIG
     _require_solvable(channel)
-    concave = is_degradable(channel).status == "degradable"
-    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT, concave)
+    # one complementary channel and one pair of superoperators for the verdict and the search
+    superops = _superoperator(channel), _superoperator(complementary(channel))
+    concave = _degradability(channel, *superops).status == "degradable"
+    raw, stats = _maximize_state_functional(channel, cfg, _COHERENT, concave, superops=superops)
     return CapacityReport(
         channel_label=channel.label,
         Q1=_clamp_zero(raw),
@@ -872,7 +907,9 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     depolarizing take exactly make_channel's parameters, checked by the
     same parser (qchan.channels.ChannelKind.parse). bsc(p), the classical
     binary symmetric channel, takes bit_flip's. Quantum values are
-    reported with the raw (unclamped) optimum in Q1_raw.
+    reported with the raw (unclamped) optimum in Q1_raw. On the erasure
+    kinds that optimum is (1 - q - 2p) log2 d, I_coh at the maximally mixed
+    input, while it is positive; otherwise it is 0, I_coh at any pure input.
     """
     shared = ("erasure", "phase_erasure", "mixed_erasure", "amplitude_damping", "depolarizing")
     if kind not in shared + ("bsc",):
@@ -881,13 +918,13 @@ def analytic_capacity(kind: str, **params) -> CapacityReport:
     if "d" in values:
         p, q = values.get("p", 0.0), values.get("q", 0.0)
         logd = math.log2(values["d"])
-        raw = (1.0 - q - 2.0 * p) * logd
+        raw = _clamp_zero(1.0 - q - 2.0 * p) * logd
         label = ",".join(f"{name}={v:g}" for name, v in values.items())
         return CapacityReport(
             channel_label=f"analytic:{kind}({label})",
             chi=(1.0 - p) * logd,
             C_hsw=(1.0 - p) * logd,
-            Q1=_clamp_zero(raw),
+            Q1=raw,
             Q1_raw=raw,
             notes=("closed form",),
         )

@@ -562,9 +562,12 @@ def is_degradable(channel: QuantumChannel) -> DegradabilityReport:
     degradable, yet its pinv solution is not CP). condition_number is that
     of the kept singular values, 1.0 when none is kept.
     """
-    comp = complementary(channel)
-    m_n, m_c = _superoperator(channel), _superoperator(comp)
-    d_out, n_env = channel.dim_out, comp.dim_out
+    return _degradability(channel, _superoperator(channel), _superoperator(complementary(channel)))
+
+
+def _degradability(channel: QuantumChannel, m_n, m_c) -> DegradabilityReport:
+    """is_degradable from the superoperators M_N and M_Nc of the channel and its complement."""
+    d_out, n_env = channel.dim_out, len(channel.kraus)
     u, sv, vh = np.linalg.svd(m_n, full_matrices=False)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
     cond = float(sv[0] / sv[rank - 1]) if rank else 1.0

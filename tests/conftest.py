@@ -20,6 +20,11 @@ def random_qubit(rng: np.random.Generator, max_radius: float = 1.0) -> DensityMa
     return from_bloch(random_bloch(rng, max_radius))
 
 
+def one_point(objective):
+    """A batched kernel (a (B, n) stack in, results with a leading B axis out) on one point."""
+    return lambda x: tuple(out[0] for out in objective(np.asarray(x, dtype=float)[None]))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260814)

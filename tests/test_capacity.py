@@ -32,6 +32,7 @@ from qchan.capacity import (
     _MUTUAL,
     _NEG_OUTPUT,
     _lbfgs,
+    _lockstep,
     _min_entropy_report,
     _pure_ensemble_neg_chi,
     _search,
@@ -39,6 +40,8 @@ from qchan.capacity import (
     _state_neg_value,
 )
 from qchan.errors import InvalidChannel, InvalidParameter, Unsupported
+
+from conftest import one_point
 
 # spot values frozen from plain-float reference computations
 DEPOLARIZING_CHI = {
@@ -90,22 +93,28 @@ class TestOptimizerConfig:
             OptimizerConfig(tolerance=1e-6)
 
 
-def _scripted_lbfgs(monkeypatch, value):
-    """Replace _lbfgs by one that returns (x0, value(x0), 1, 1, True); returns the starts it saw."""
+def _scripted_lockstep(monkeypatch, value):
+    """Replace _lockstep by one that ends each start x0 at (x0, value(x0), 1, 1, True).
+
+    Returns the list of starts it saw, in order.
+    """
     seen = []
 
-    def scripted(fun, x0, *limits):
-        seen.append(np.array(x0))
-        return x0, value(x0), 1, 1, True
+    def scripted(objective, starts, limits):
+        results = []
+        for x0 in starts:
+            seen.append(np.array(x0))
+            results.append((x0, value(x0), 1, 1, True))
+        return results
 
-    monkeypatch.setattr(capacity, "_lbfgs", scripted)
+    monkeypatch.setattr(capacity, "_lockstep", scripted)
     return seen
 
 
 class TestSeededStarts:
     def test_fixed_starts_then_seeded_draws(self, monkeypatch):
         # a strictly falling value keeps the plateau rule from stopping the search
-        seen = _scripted_lbfgs(monkeypatch, lambda x0: -float(len(seen)))
+        seen = _scripted_lockstep(monkeypatch, lambda x0: -float(len(seen)))
         cfg = OptimizerConfig(restarts=5, seed=4)
         _search(None, [np.zeros(3)], lambda rng: rng.standard_normal(3), cfg, (1, 0.0, 0.0))
         assert len(seen) == 5
@@ -114,7 +123,7 @@ class TestSeededStarts:
         assert np.array_equal(np.array(seen[1:]), draws)
 
     def test_fixed_starts_are_cut_at_restarts(self, monkeypatch):
-        seen = _scripted_lbfgs(monkeypatch, lambda x0: -float(x0[0]))
+        seen = _scripted_lockstep(monkeypatch, lambda x0: -float(x0[0]))
         cfg = OptimizerConfig(restarts=2)
         fixed = [np.full(2, k) for k in range(4)]
         _, _, stats = _search(None, fixed, None, cfg, (1, 0.0, 0.0))
@@ -173,11 +182,11 @@ class TestLbfgs:
         # L-BFGS-B takes 10 iterations and 29 evaluations from this start
         runs = []
 
-        def recorded(*args):
-            runs.append(_lbfgs(*args))
-            return runs[-1]
+        def recorded(objective, starts, limits):
+            runs.extend(_lockstep(objective, starts, limits))
+            return runs[-len(starts):]
 
-        monkeypatch.setattr(capacity, "_lbfgs", recorded)
+        monkeypatch.setattr(capacity, "_lockstep", recorded)
         quantum_capacity_single_use(make_channel("depolarizing", p=0.3))
         _, _, _, nfev, success = runs[1]
         assert success
@@ -237,11 +246,10 @@ class TestHswNumeric:
         # confirms the optimum, one that lands higher does not
         runs = iter([(0.0, False), (second, True)])
 
-        def scripted(fun, x0, *limits):
-            val, ok = next(runs)
-            return x0, val, 1, 1, ok
+        def scripted(objective, starts, limits):
+            return [(x0, val, 1, 1, ok) for x0, (val, ok) in zip(starts, runs)]
 
-        monkeypatch.setattr(capacity, "_lbfgs", scripted)
+        monkeypatch.setattr(capacity, "_lockstep", scripted)
         fixed = [np.zeros(1), np.ones(1)]
         x, _, stats = _search(None, fixed, None, OptimizerConfig(2), (1, 0.0, 0.0))
         assert x.tolist() == [0.0]
@@ -251,7 +259,7 @@ class TestHswNumeric:
     def test_only_a_gain_past_rounding_restarts_the_plateau(self, monkeypatch, step, started):
         # each start lands step below the one before: a rounding-level gain still
         # takes the lead, but only a larger one keeps the search going
-        _scripted_lbfgs(monkeypatch, lambda x0: 1.0 - step * x0[0])
+        _scripted_lockstep(monkeypatch, lambda x0: 1.0 - step * x0[0])
         fixed = [np.full(1, float(k)) for k in range(16)]
         x, _, stats = _search(None, fixed, None, FAST, (1, 0.0, 0.0))
         assert stats.restarts == started
@@ -303,7 +311,7 @@ class TestPureEnsembleChiGradient:
     @pytest.mark.parametrize("channel,kraus", _pure_kernel_channels())
     def test_matches_central_differences(self, channel, kraus):
         m, d = 4, channel.dim_in
-        neg_chi = _pure_ensemble_neg_chi(kraus, m, d)
+        neg_chi = one_point(_pure_ensemble_neg_chi(kraus, m, d))
         rng = np.random.default_rng(11)
         h = 1e-6
         for _ in range(3):
@@ -316,7 +324,7 @@ class TestPureEnsembleChiGradient:
 
     def test_zero_member_is_basis_state_with_zero_gradient(self):
         ch = make_channel("erasure", p=0.3)
-        neg_chi = _pure_ensemble_neg_chi(ch.kraus, 2, 2)
+        neg_chi = one_point(_pure_ensemble_neg_chi(ch.kraus, 2, 2))
         t = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         value, grad = neg_chi(t)
         # members e_0 and e_1 with equal weights: chi = (1 - p) bits
@@ -325,7 +333,8 @@ class TestPureEnsembleChiGradient:
 
     def test_pure_output_keeps_a_finite_gradient(self):
         # members |0> and |1>; damping toward |1> keeps |1>, so its output is pure
-        neg_chi = _pure_ensemble_neg_chi(make_channel("amplitude_damping", gamma=0.3).kraus, 2, 2)
+        kraus = make_channel("amplitude_damping", gamma=0.3).kraus
+        neg_chi = one_point(_pure_ensemble_neg_chi(kraus, 2, 2))
         value, grad = neg_chi(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
         assert np.isfinite(value) and np.all(np.isfinite(grad))
 
@@ -352,7 +361,7 @@ class TestStateFunctionalGradient:
 
     @pytest.mark.parametrize("channel,coeffs", _state_kernel_cases())
     def test_matches_central_differences_at_interior_states(self, channel, coeffs):
-        neg_value = _state_neg_value(_state_gradient(channel.kraus, coeffs))
+        neg_value = one_point(_state_neg_value(_state_gradient(channel, coeffs)))
         rng = np.random.default_rng(7)
         for _ in range(3):
             x = rng.standard_normal(2 * channel.dim_in**2)
@@ -363,8 +372,8 @@ class TestStateFunctionalGradient:
     @pytest.mark.parametrize("gamma", [0.3, 0.8])
     def test_exact_at_the_damping_fixed_point(self, gamma, coeffs):
         # rho = |0><0|: rho, N(rho) and env(rho) are all rank one
-        kraus = make_channel("amplitude_damping", gamma=gamma).kraus
-        neg_value = _state_neg_value(_state_gradient(kraus, coeffs))
+        channel = make_channel("amplitude_damping", gamma=gamma)
+        neg_value = one_point(_state_neg_value(_state_gradient(channel, coeffs)))
         x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         value, grad = neg_value(x)
         assert value == 0.0
@@ -373,7 +382,7 @@ class TestStateFunctionalGradient:
     @pytest.mark.parametrize("coeffs", [_COHERENT, _MUTUAL])
     def test_exact_at_a_pure_qutrit_input(self, coeffs):
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))
-        neg_value = _state_neg_value(_state_gradient(ch.kraus, coeffs))
+        neg_value = one_point(_state_neg_value(_state_gradient(ch, coeffs)))
         m = np.zeros((2, 3, 3))
         m[:, :, 0] = np.random.default_rng(5).standard_normal((2, 3))
         x = m.reshape(-1)
@@ -645,6 +654,66 @@ def _qudit_capacity_channels():
     ]
 
 
+def _batched_kernels():
+    """(kernel, row length) of both kernels on the qudit_capacity channels and a random 4->4 one."""
+    channels = _qudit_capacity_channels() + [random_cptp_channel(4, 4, 3, np.random.default_rng(2))]
+    for ch in channels:
+        d, name = ch.dim_in, f"{ch.label}-{ch.dim_in}to{ch.dim_out}"
+        yield pytest.param(_pure_ensemble_neg_chi(ch.kraus, 4, d), 8 * d + 4, id=f"chi-{name}")
+        for label, coeffs in (("Q1", _COHERENT), ("C_E", _MUTUAL)):
+            kernel = _state_neg_value(_state_gradient(ch, coeffs))
+            yield pytest.param(kernel, 2 * d * d, id=f"{label}-{name}")
+        kernel = _state_neg_value(_state_gradient(ch, _NEG_OUTPUT))
+        yield pytest.param(kernel, 2 * d, id=f"S_min-{name}")
+
+
+class TestLockstep:
+    """Starts run in lockstep give, bit for bit, what they give one at a time."""
+
+    @pytest.mark.parametrize("kernel,n", _batched_kernels())
+    def test_a_row_of_a_batch_is_the_single_call(self, kernel, n):
+        x = np.random.default_rng(4).standard_normal((8, n))
+        values, grads = kernel(x)
+        for row, value, grad in zip(x, values, grads):
+            one_value, one_grad = kernel(row[None])
+            assert one_value[0] == value
+            assert np.array_equal(one_grad[0], grad)
+
+    @pytest.mark.parametrize("kernel,n", [
+        pytest.param(
+            _pure_ensemble_neg_chi(make_channel("erasure", p=0.2).kraus, 4, 2), 20, id="chi"
+        ),
+        pytest.param(
+            _state_neg_value(_state_gradient(_qudit_capacity_channels()[4], _COHERENT)), 18, id="Q1"
+        ),
+    ])
+    def test_runs_match_separate_lbfgs_runs(self, kernel, n):
+        starts = list(np.random.default_rng(6).standard_normal((6, n)))
+        limits = (200, 1e-13, 1e-8)
+        together = _lockstep(kernel, starts, limits)
+        for x0, (x, f, nit, nfev, success) in zip(starts, together):
+            alone = _lbfgs(one_point(kernel), x0, *limits)
+            assert np.array_equal(alone[0], x)
+            assert alone[1:] == (f, nit, nfev, success)
+        # runs of different lengths: the batch shrank as they finished
+        assert len({r[3] for r in together}) > 1
+
+    @pytest.mark.parametrize("gains,stop", [(1, 8), (5, 11), (10, 16)])
+    def test_batches_never_run_past_the_stop_point(self, gains, stop):
+        # start k lands at -min(k, gains - 1) with a zero gradient: the first gains
+        # starts each improve, and the plateau rule stops 6 starts later (8 at least)
+        seen = set()
+
+        def objective(x):
+            seen.update(x[:, 0].tolist())
+            return -np.minimum(x[:, 0], gains - 1.0), np.zeros_like(x)
+
+        fixed = [np.full(1, float(k)) for k in range(20)]
+        _, best, stats = _search(objective, fixed, None, OptimizerConfig(20), (10, 0.0, 1e-8))
+        assert stats.restarts == len(seen) == stop
+        assert best == 1.0 - gains
+
+
 class TestConcaveCertificate:
     """C_E, and Q1 on degradable channels, stop at one start that a Frank-Wolfe gap certifies."""
 
@@ -791,7 +860,21 @@ class TestAnalytic:
         rep = analytic_capacity("erasure", p=p)
         assert np.isclose(rep.C_hsw, 1.0 - p, atol=1e-12)
         assert np.isclose(rep.Q1, max(1.0 - 2.0 * p, 0.0), atol=1e-12)
-        assert np.isclose(rep.Q1_raw, 1.0 - 2.0 * p, atol=1e-12)
+        # past p = 1/2 the optimum is 0, at any pure input, not I_coh at I/2
+        assert np.isclose(rep.Q1_raw, max(1.0 - 2.0 * p, 0.0), atol=1e-12)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("erasure", {"p": 0.7}),
+        ("erasure", {"p": 1.0}),
+        ("erasure", {"p": 0.6, "d": 3}),
+        ("mixed_erasure", {"p": 0.5, "q": 0.5}),
+        ("mixed_erasure", {"p": 0.2, "q": 0.3}),
+        ("phase_erasure", {"q": 1.0}),
+    ], ids=repr)
+    def test_erasure_raw_rate_is_the_searched_optimum(self, kind, params):
+        rep = analytic_capacity(kind, **params)
+        searched = quantum_capacity_single_use(make_channel(kind, **params))
+        assert abs(rep.Q1_raw - searched.Q1_raw) <= 1e-9
 
     def test_erasure_scales_with_dimension(self):
         rep = analytic_capacity("erasure", p=0.25, d=4)
@@ -999,9 +1082,9 @@ class TestFullReport:
         real = capacity._maximize_state_functional
         calls = []
 
-        def counted(channel, cfg, coeffs, *args):
+        def counted(channel, cfg, coeffs, *args, **kwargs):
             calls.append(coeffs)
-            return real(channel, cfg, coeffs, *args)
+            return real(channel, cfg, coeffs, *args, **kwargs)
 
         monkeypatch.setattr(capacity, "_maximize_state_functional", counted)
         ch = random_cptp_channel(3, 2, 2, np.random.default_rng(0))

@@ -42,7 +42,7 @@ from qchan.errors import (
     Unsupported,
 )
 
-from conftest import random_density, random_qubit
+from conftest import one_point, random_density, random_qubit
 
 ZOO = [
     ("identity", {}),
@@ -466,7 +466,7 @@ class TestMinOutputEntropy:
     def test_gradient_matches_central_differences(self, channel):
         # the state kernel on a d x 1 M: S(N(psi)) of psi = a / |a|, x = (Re a, Im a)
         d, h = channel.dim_in, 1e-6
-        entropy = _state_neg_value(_state_gradient(channel.kraus, _NEG_OUTPUT))
+        entropy = one_point(_state_neg_value(_state_gradient(channel, _NEG_OUTPUT)))
         rng = np.random.default_rng(3)
         for _ in range(3):
             x = rng.standard_normal(2 * d)
@@ -479,8 +479,8 @@ class TestMinOutputEntropy:
     @pytest.mark.parametrize("columns", [1, 3])
     def test_vanishing_input_stays_finite(self, columns):
         # a d x 1 and a d x d M at x = 0; the gradient keeps the length of x
-        kraus = make_channel("erasure", p=0.3, d=3).kraus
-        entropy = _state_neg_value(_state_gradient(kraus, _NEG_OUTPUT))
+        channel = make_channel("erasure", p=0.3, d=3)
+        entropy = one_point(_state_neg_value(_state_gradient(channel, _NEG_OUTPUT)))
         value, grad = entropy(np.zeros(2 * 3 * columns))
         assert np.isfinite(value) and np.isfinite(grad).all()
         assert grad.shape == (2 * 3 * columns,)

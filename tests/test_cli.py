@@ -627,17 +627,25 @@ MALFORMED_COMMANDS = [
     MALFORMED_COMMANDS,
     ids=[" ".join(argv)[:60] + (f" <{text}>" if text else "") for argv, text, _ in MALFORMED_COMMANDS],
 )
-def test_malformed_command_exits_cleanly(tmp_path, argv, text, code):
-    """No malformed command may end in a traceback: each prints one error line."""
+def test_malformed_command_exits_cleanly(capsys, tmp_path, argv, text, code):
+    """No malformed command may end in a traceback: each prints one error line.
+
+    The commands run in process through main, as python -m qchan.cli runs
+    them; an exception that escapes main fails the case.
+    """
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
     argv = [str(path) if arg == "{file}" else arg for arg in argv]
-    out = _run_cli_process(*argv, timeout=60)
-    assert out.returncode == code
-    assert out.stdout == ""
-    assert out.stderr.startswith("error: ")
-    assert "Traceback" not in out.stderr
+    try:
+        returncode = main(argv)
+    except SystemExit as exit_:  # argparse's own exits
+        returncode = exit_.code
+    out, err = capsys.readouterr()
+    assert returncode == code
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -174,7 +174,8 @@ def summarize(records: list, solver: str) -> dict:
         out[f"worst_{name}"] = max(row["checks"][name] for _, row in rows)
     out["unconverged"] = [name for name, row in rows if not row["stats"]["converged"]]
     out["reruns_identical"] = all(row.get("rerun_identical", True) for _, row in rows)
-    out["wall_s"] = round(sum(row["wall_s"] for _, row in rows), 3)
+    if all("wall_s" in row for _, row in rows):  # a stored run may leave timings out
+        out["wall_s"] = round(sum(row["wall_s"] for _, row in rows), 3)
     return out
 
 
