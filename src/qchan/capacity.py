@@ -52,9 +52,8 @@ from .entropy import (
     _log_map,
     binary_entropy,
 )
-from .errors import InvalidChannel, InvalidParameter, Unsupported
+from .errors import InvalidChannel, InvalidParameter, Unsupported, _check_count
 from .qmath import DensityMatrix, Ensemble, from_bloch
-from .repeater import _check_count
 
 _DIM_LIMIT = 8
 _TINY = 1e-300

@@ -1,9 +1,12 @@
-"""Command-line front end.
+"""Command-line front end (`qchan`, or `python -m qchan`).
 
 Five verbs: channel-inspect, capacity, zero-error, repeater-rate, and
 repeater-sim. Results are emitted as CSV (stable column order) or JSON
 (sorted keys) to stdout or --out. Exit codes: 0 success, 1 solver
 failure, 2 invalid arguments or parameters.
+
+A verb imports only the modules it uses, and only its own options are
+built, so the two repeater verbs run without loading numpy.
 """
 
 from __future__ import annotations
@@ -16,25 +19,19 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import capacity as cap
-from . import channels as ch
-from . import repeater as rep
-from . import zero_error as ze
 from .errors import InvalidParameter, SolverError, ValidationError
 
-CAPACITY_COLUMNS = ("kind", "param") + cap.REPORT_FIELDS
+if TYPE_CHECKING:  # the verbs import these when they run
+    from . import capacity as cap, channels as ch, repeater as rep
+
 RATE_COLUMNS = ("F0", "P0", "n", "Z_n", "R_n", "R_approx")
 ZERO_ERROR_COLUMNS = ("graph", "n", "K", "rate", "witness")
 SIM_COLUMNS = ("trial", "seed", "outcome", "rounds", "raw_pairs", "final_fidelity")
 
 # Most points a --sweep may ask for
 SWEEP_LIMIT = 10_000
-# One --option per channel parameter of the table, which checks the values
-_PARAMETERS = tuple(
-    dict.fromkeys(n for k in ch.CHANNEL_KINDS.values() for n in (*k.params, k.complement) if n)
-)
 
 
 def _parse_distance(text: str) -> float:
@@ -96,8 +93,17 @@ def _emit(text: str, out: Optional[str], mode: str = "w") -> None:
         raise InvalidParameter(f"cannot write {out}: {err}") from err
 
 
+def _parameters() -> tuple:
+    """One --option per channel parameter of the table, which checks the values."""
+    from .channels import CHANNEL_KINDS
+
+    return tuple(
+        dict.fromkeys(n for k in CHANNEL_KINDS.values() for n in (*k.params, k.complement) if n)
+    )
+
+
 def _channel_params(args) -> dict:
-    return {name: getattr(args, name) for name in _PARAMETERS if getattr(args, name) is not None}
+    return {name: getattr(args, name) for name in _parameters() if getattr(args, name) is not None}
 
 
 def _load_json(path: str):
@@ -109,6 +115,8 @@ def _load_json(path: str):
 
 
 def _build_channel(args) -> ch.QuantumChannel:
+    from . import channels as ch
+
     if getattr(args, "channel_file", None):
         return ch.channel_from_json(_load_json(args.channel_file))
     if getattr(args, "kind", None):
@@ -117,6 +125,8 @@ def _build_channel(args) -> ch.QuantumChannel:
 
 
 def _capacity_report_dict(report: cap.CapacityReport) -> dict:
+    from . import capacity as cap
+
     data = {
         "channel_label": report.channel_label,
         "notes": list(report.notes),
@@ -131,6 +141,9 @@ def _capacity_report_dict(report: cap.CapacityReport) -> dict:
 
 
 def _cmd_channel_inspect(args) -> str:
+    from . import capacity as cap
+    from . import channels as ch
+
     channel = _build_channel(args)
     info: dict = {
         "label": channel.label,
@@ -175,6 +188,8 @@ def _cmd_channel_inspect(args) -> str:
 
 def _capacity_targets(args):
     """Yield (param_value, channel) pairs for a single point or a sweep."""
+    from . import channels as ch
+
     if args.channel_file:
         yield None, _build_channel(args)
         return
@@ -192,6 +207,8 @@ def _capacity_targets(args):
 
 
 def _cmd_capacity(args) -> str:
+    from . import capacity as cap
+
     measures = tuple(args.measure.split(","))
     cfg = cap.OptimizerConfig(seed=args.seed)
     rows = []
@@ -205,10 +222,12 @@ def _cmd_capacity(args) -> str:
         rows.append((channel.kind, value, *(data.get(name) for name in cap.REPORT_FIELDS)))
     if args.format == "json":
         return _json_text(reports)
-    return _csv_text(CAPACITY_COLUMNS, rows)
+    return _csv_text(("kind", "param") + cap.REPORT_FIELDS, rows)
 
 
 def _cmd_zero_error(args) -> str:
+    from . import zero_error as ze
+
     channel = None
     if args.graph and (args.kind or args.channel_file):
         raise InvalidParameter("give --graph or a channel (--kind, --channel-file), not both")
@@ -231,6 +250,8 @@ def _cmd_zero_error(args) -> str:
 
     hsw_upper = None
     if channel is not None and channel.kraus is not None:
+        from . import capacity as cap
+
         hsw_upper = cap.hsw_numeric(channel, cap.OptimizerConfig(seed=args.seed)).C_hsw
 
     report = ze.zero_error_lower_bound(graph, args.uses, hsw_upper=hsw_upper)
@@ -254,6 +275,8 @@ def _cmd_zero_error(args) -> str:
 
 
 def _repeater_config(args, p0: float) -> rep.RepeaterConfig:
+    from . import repeater as rep
+
     # checked at L = l0 first, so a segment count past the float range is
     # refused before l0 * segments would overflow
     cfg = rep.RepeaterConfig(
@@ -263,6 +286,8 @@ def _repeater_config(args, p0: float) -> rep.RepeaterConfig:
 
 
 def _cmd_repeater_rate(args) -> str:
+    from . import repeater as rep
+
     dicts = []
     for p0 in _parse_sweep(args.sweep) if args.sweep else [args.p0]:
         cfg = _repeater_config(args, p0)
@@ -286,6 +311,8 @@ def _cmd_repeater_rate(args) -> str:
 def _cmd_repeater_sim(args) -> str:
     if args.trials < 1:
         raise InvalidParameter(f"--trials {args.trials} must be at least 1")
+    from . import repeater as rep
+
     cfg = _repeater_config(args, args.p0)
     traces = [
         rep.simulate_schedule(
@@ -310,8 +337,10 @@ def _cmd_repeater_sim(args) -> str:
 
 
 def _add_channel_options(sub, with_sweep: bool) -> None:
-    sub.add_argument("--kind", choices=tuple(ch.CHANNEL_KINDS))
-    for name in _PARAMETERS:
+    from .channels import CHANNEL_KINDS
+
+    sub.add_argument("--kind", choices=tuple(CHANNEL_KINDS))
+    for name in _parameters():
         sub.add_argument(f"--{name}", type=float)
     sub.add_argument("--channel-file", metavar="JSON")
     if with_sweep:
@@ -323,70 +352,93 @@ def _add_output_options(sub, default_format: str) -> None:
     sub.add_argument("--out", metavar="PATH")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _inspect_options(sub) -> None:
+    _add_channel_options(sub, with_sweep=False)
+    _add_output_options(sub, "json")
+
+
+def _capacity_options(sub) -> None:
+    from .capacity import MEASURES
+
+    _add_channel_options(sub, with_sweep=True)
+    sub.add_argument(
+        "--measure",
+        default="hsw",
+        help=f"comma-separated subset of {','.join(MEASURES)} or all",
+    )
+    sub.add_argument("--seed", type=int, default=0)
+    _add_output_options(sub, "csv")
+
+
+def _zero_error_options(sub) -> None:
+    sub.add_argument("--graph", help="'pentagon' or a graph JSON path")
+    _add_channel_options(sub, with_sweep=False)
+    sub.add_argument("--uses", type=int, default=1)
+    sub.add_argument("--seed", type=int, default=0)
+    _add_output_options(sub, "csv")
+
+
+def _rate_options(sub) -> None:
+    sub.add_argument("--segments", type=int, required=True)
+    sub.add_argument("--l0", required=True, help="segment length (meters, or e.g. 20km)")
+    sub.add_argument("--p0", type=float, default=0.1)
+    sub.add_argument("--eta", type=float, default=0.5)
+    sub.add_argument("--f0", type=float, default=0.9)
+    sub.add_argument("--sweep", metavar="START:END:STEP", help="sweep P0")
+    _add_output_options(sub, "csv")
+
+
+def _sim_options(sub) -> None:
+    from .repeater import POLICIES
+
+    sub.add_argument("--policy", choices=POLICIES, required=True)
+    sub.add_argument("--target", type=float, required=True)
+    sub.add_argument("--segments", type=int, default=1)
+    sub.add_argument("--l0", default="20km")
+    sub.add_argument("--p0", type=float, default=0.1)
+    sub.add_argument("--eta", type=float, default=0.5)
+    sub.add_argument("--f0", type=float, default=0.9)
+    sub.add_argument("--trials", type=int, default=1)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--force-success", action="store_true")
+    sub.add_argument("--bands", type=int, default=8)
+    sub.add_argument("--trace", metavar="PATH", help="write events of trial 0 as JSON lines")
+    _add_output_options(sub, "csv")
+
+
+# Each verb: its help line, the function that adds its options, and its handler
+_VERBS = {
+    "channel-inspect": ("validate and classify a channel", _inspect_options, _cmd_channel_inspect),
+    "capacity": ("run capacity solvers, single point or sweep", _capacity_options, _cmd_capacity),
+    "zero-error": ("zero-error rate lower bounds", _zero_error_options, _cmd_zero_error),
+    "repeater-rate": ("expected rounds and pair rates", _rate_options, _cmd_repeater_rate),
+    "repeater-sim": ("simulate a purification schedule", _sim_options, _cmd_repeater_sim),
+}
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The qchan parser, with the options of verb alone when one is given, else of every verb.
+
+    Building a verb's options imports the tables they read, so parsing one
+    verb loads no module that only another verb uses.
+    """
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Quantum channel toolbox: inspection, capacities, "
         "zero-error codes, repeater rates.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    inspect = subs.add_parser("channel-inspect", help="validate and classify a channel")
-    _add_channel_options(inspect, with_sweep=False)
-    _add_output_options(inspect, "json")
-    inspect.set_defaults(func=_cmd_channel_inspect)
-
-    capacity = subs.add_parser("capacity", help="run capacity solvers, single point or sweep")
-    _add_channel_options(capacity, with_sweep=True)
-    capacity.add_argument(
-        "--measure",
-        default="hsw",
-        help=f"comma-separated subset of {','.join(cap.MEASURES)} or all",
-    )
-    capacity.add_argument("--seed", type=int, default=0)
-    _add_output_options(capacity, "csv")
-    capacity.set_defaults(func=_cmd_capacity)
-
-    zero = subs.add_parser("zero-error", help="zero-error rate lower bounds")
-    zero.add_argument("--graph", help="'pentagon' or a graph JSON path")
-    _add_channel_options(zero, with_sweep=False)
-    zero.add_argument("--uses", type=int, default=1)
-    zero.add_argument("--seed", type=int, default=0)
-    _add_output_options(zero, "csv")
-    zero.set_defaults(func=_cmd_zero_error)
-
-    rate = subs.add_parser("repeater-rate", help="expected rounds and pair rates")
-    rate.add_argument("--segments", type=int, required=True)
-    rate.add_argument("--l0", required=True, help="segment length (meters, or e.g. 20km)")
-    rate.add_argument("--p0", type=float, default=0.1)
-    rate.add_argument("--eta", type=float, default=0.5)
-    rate.add_argument("--f0", type=float, default=0.9)
-    rate.add_argument("--sweep", metavar="START:END:STEP", help="sweep P0")
-    _add_output_options(rate, "csv")
-    rate.set_defaults(func=_cmd_repeater_rate)
-
-    sim = subs.add_parser("repeater-sim", help="simulate a purification schedule")
-    sim.add_argument("--policy", choices=rep.POLICIES, required=True)
-    sim.add_argument("--target", type=float, required=True)
-    sim.add_argument("--segments", type=int, default=1)
-    sim.add_argument("--l0", default="20km")
-    sim.add_argument("--p0", type=float, default=0.1)
-    sim.add_argument("--eta", type=float, default=0.5)
-    sim.add_argument("--f0", type=float, default=0.9)
-    sim.add_argument("--trials", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--force-success", action="store_true")
-    sim.add_argument("--bands", type=int, default=8)
-    sim.add_argument("--trace", metavar="PATH", help="write events of trial 0 as JSON lines")
-    _add_output_options(sim, "csv")
-    sim.set_defaults(func=_cmd_repeater_sim)
-
+    for name, (text, add_options, func) in _VERBS.items():
+        sub = subs.add_parser(name, help=text)
+        if verb in (None, name):
+            add_options(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     try:
         # refuse an unwritable output path before the verb runs; appending keeps a file as it is
         for path in filter(None, (args.out, getattr(args, "trace", None))):

@@ -4,6 +4,9 @@ Two broad families matter to callers: validation errors (bad inputs,
 out-of-range parameters, malformed objects) and solver errors (a
 computation that cannot be carried out at the requested size). The CLI
 maps the former to exit code 2 and the latter to exit code 1.
+
+The integer check that capacity and repeater share lives here too, so
+importing capacity does not load repeater.
 """
 
 
@@ -81,3 +84,9 @@ class DegeneratePair(ValidationError):
 
 class TooLarge(SolverError):
     """Problem size exceeds the exact-solver bound."""
+
+
+def _check_count(name: str, value, least: int = 0) -> int:
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+        raise InvalidParameter(f"{name} = {value!r} must be an integer of at least {least}")
+    return value.__index__()

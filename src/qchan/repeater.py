@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameter,
     InvalidProbability,
     TooLarge,
+    _check_count,
 )
 
 SIGNAL_SPEED = 2e8  # meters/second in fiber
@@ -249,12 +250,6 @@ def generation_rate(cfg: RepeaterConfig) -> RateReport:
         R_n=1.0 / t0 / z_n,  # t0 * z_n can overflow where the rate does not
         R_n_approx=(cfg.P0 / t0) * (2.0 / 3.0) ** n,
     )
-
-
-def _check_count(name: str, value, least: int = 0) -> int:
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
-        raise InvalidParameter(f"{name} = {value!r} must be an integer of at least {least}")
-    return value.__index__()
 
 
 def _best_two(members) -> Tuple[int, int]:

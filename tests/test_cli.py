@@ -493,58 +493,69 @@ class TestRepeaterSimVerb:
         assert info.value.code == 2
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """The graph and repeater verbs never optimize, so start-up skips scipy.optimize."""
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for fresh interpreters."""
     env = dict(os.environ)
     src = str(Path(qchan.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, qchan, qchan.cli; print('scipy.optimize' in sys.modules)"
+    return env
+
+
+def _probe(code: str) -> str:
+    """What a fresh interpreter running code prints, stripped."""
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """The graph and repeater verbs never optimize, so start-up skips scipy.optimize."""
+    assert _probe("import sys, qchan, qchan.cli; print('scipy.optimize' in sys.modules)") == "False"
 
 
 def test_channel_inspect_leaves_scipy_optimize_unloaded():
     """Inspecting a qubit channel finds its output radius in closed form, without scipy.optimize."""
-    env = dict(os.environ)
-    src = str(Path(qchan.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import os, sys; from qchan.cli import main; "
         "code = main(['channel-inspect', '--kind', 'amplitude_damping', '--gamma', '0.3', "
         "'--out', os.devnull]); print(code, 'scipy.optimize' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0 False"
+    assert _probe(probe) == "0 False"
 
 
 def test_capacity_solvers_never_import_scipy():
     """Every search, and the amplitude-damping closed form, runs on numpy and the stdlib."""
-    env = dict(os.environ)
-    src = str(Path(qchan.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import os, sys; from qchan import analytic_capacity; from qchan.cli import main; "
         "code = main(['capacity', '--kind', 'depolarizing', '--p', '0.2', '--measure', 'all', "
         "'--out', os.devnull]); analytic_capacity('amplitude_damping', gamma=0.3); "
         "print(code, 'scipy' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0 False"
+    assert _probe(probe) == "0 False"
 
 
-def _run_cli_process(*argv, timeout=60):
-    env = dict(os.environ)
-    src = str(Path(qchan.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+@pytest.mark.parametrize("argv,module", [
+    ((), "numpy"),
+    (("repeater-rate", "--segments", "8", "--l0", "20km", "--p0", "0.1"), "numpy"),
+    (("repeater-sim", "--policy", "banded", "--target", "0.95", "--p0", "0.5", "--trials", "5"),
+     "numpy"),
+    (("capacity", "--kind", "depolarizing", "--p", "0.2"), "qchan.repeater"),
+    (("channel-inspect", "--kind", "amplitude_damping", "--gamma", "0.3"), "qchan.repeater"),
+], ids=["import qchan", "repeater-rate", "repeater-sim", "capacity", "channel-inspect"])
+def test_start_up_leaves_unused_modules_unloaded(argv, module):
+    """The package imports an export on first use and a verb imports only the modules it uses."""
+    probe = "import os, sys, qchan; code = 0"
+    if argv:
+        probe = "import os, sys; from qchan.cli import main; "
+        probe += f"code = main([*{argv!r}, '--out', os.devnull])"
+    assert _probe(f"{probe}; print(code, {module!r} in sys.modules)") == "0 False"
+
+
+def _run_cli_process(*argv, module="qchan.cli", timeout=60):
     return subprocess.run(
-        [sys.executable, "-m", "qchan.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        [sys.executable, "-m", module, *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -557,6 +568,47 @@ def test_oversized_sweep_is_refused_before_it_is_built(verb):
     out = _run_cli_process(*verb, "--sweep", "0:1e9:1e-9")
     assert out.returncode == 2
     assert f"over {SWEEP_LIMIT}" in out.stderr
+
+
+def test_python_dash_m_qchan_runs_the_cli():
+    argv = ("repeater-rate", "--segments", "8", "--l0", "20km", "--p0", "0.1")
+    package, module = _run_cli_process(*argv, module="qchan"), _run_cli_process(*argv)
+    assert package.returncode == module.returncode == 0
+    assert package.stdout.startswith("F0,P0,n,Z_n,R_n,R_approx\n")
+    assert package.stdout == module.stdout
+
+
+def test_help_lists_every_verb(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()}
+    assert {"channel-inspect", "capacity", "zero-error", "repeater-rate", "repeater-sim"} <= listed
+
+
+def test_capacity_help_lists_kinds_parameters_and_measures(capsys):
+    """A verb parsed alone still gets the options built from the channel and measure tables."""
+    from qchan.capacity import MEASURES
+    from qchan.channels import CHANNEL_KINDS
+
+    with pytest.raises(SystemExit) as info:
+        main(["capacity", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    flat = "".join(out.split())  # help wraps at the terminal width
+    assert "--kind{" + ",".join(CHANNEL_KINDS) + "}" in flat
+    assert ",".join(MEASURES) + "orall" in flat
+    for row in CHANNEL_KINDS.values():
+        for name in filter(None, (*row.params, row.complement)):
+            assert f"--{name} {name.upper()}" in out
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["capacty", "--kind", "depolarizing"]])
+def test_unknown_verb_is_an_argparse_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"invalid choice: {argv[0]!r}" in capsys.readouterr().err
 
 
 def test_sweep_limit_is_inclusive():
