@@ -11,7 +11,7 @@ The chi kernel (_pure_ensemble_neg_chi) serves hsw_numeric only. The
 state kernel (_state_neg_value) serves Q1, whose one search also gives
 P1 (= max I_coh), C_E and the qudit S_min, all through one search
 routine (_maximize_state_functional). Every search runs one numpy
-L-BFGS (_lbfgs_steps, More-Thuente line search) through one multi-start
+L-BFGS (_lbfgs_steps, backtracking line search) through one multi-start
 function (_search: a solver's fixed starts, then seeded draws, lowest
 start index wins ties), which runs every live start in one kernel call
 per round and reads the results in start order, so all solvers are
@@ -142,129 +142,31 @@ def _clamp_zero(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
-    """One safeguarded step of the More-Thuente search, as MINPACK-2's dcstep.
-
-    (stx, fx, dx) is the best step so far with its value and slope along
-    the line, (sty, fy, dy) the interval's other end, (stp, fp, dp) the
-    trial. Returns the updated ends, the next trial (a cubic, secant or
-    quadratic interpolant, kept within [stmin, stmax] while unbracketed)
-    and whether a minimizer is bracketed.
-    """
-
-    def cubic_gamma(theta, da, db):
-        s = max(abs(theta), abs(da), abs(db))
-        return s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
-
-    theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-    if fp > fx:  # a higher value: the minimizer is bracketed
-        gamma = cubic_gamma(theta, dx, dp) * (-1.0 if stp < stx else 1.0)
-        stpc = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
-        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
-        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif dp * dx < 0.0:  # a lower value and slopes of opposite sign: bracketed
-        gamma = cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
-        stpc = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx) * (stx - stp)
-        stpq = stp + dp / (dp - dx) * (stx - stp)
-        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):  # a lower value and a shrinking slope of the same sign
-        gamma = cubic_gamma(theta, dx, dp) * (-1.0 if stp > stx else 1.0)
-        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
-        if r < 0.0 and gamma != 0.0:
-            stpc = stp + r * (stx - stp)
-        else:
-            stpc = stmax if stp > stx else stmin
-        stpq = stp + dp / (dp - dx) * (stx - stp)
-        if brackt:
-            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            limit = stp + 0.66 * (sty - stp)
-            stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
-        else:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            stpf = max(stmin, min(stmax, stpf))
-    elif brackt:  # a lower value and a slope that does not shrink
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        gamma = cubic_gamma(theta, dy, dp) * (-1.0 if stp > sty else 1.0)
-        stpf = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
-    else:
-        stpf = stmax if stp > stx else stmin
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if dp * dx < 0.0:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
 def _line_search(x, f: float, g, d, gd: float, stp: float):
-    """Strong-Wolfe step along d from (x, f, g), gd = g.d < 0: (stp, x, f, g, nfev).
+    """Backtracking step along d from (x, f, g), gd = g.d < 0: (stp, x, f, g, nfev).
 
     A generator: it yields each trial point and is sent its (value, gradient).
-    MINPACK-2's dcsrch (More & Thuente, ACM TOMS 20, 1994) with L-BFGS-B's
-    constants: sufficient decrease c1 = 1e-3, curvature c2 = 0.9, at most
-    20 evaluations and steps in [0, 1e10]. Sufficient decrease holds up to
+    The step is the first trial with a finite value and gradient and
+    sufficient decrease f_t <= f + 1e-3 stp gd (L-BFGS-B's c1), up to
     _NOISE * max(|f|, 1), so that a step which rounding hides is still
-    taken. Once the bracket is narrower than 0.1 of its right end, or
-    interpolation leaves it, the search ends at the bracket's low end,
-    the best step so far (stp 0 when nothing improved). A trial with a
-    non-finite value or gradient is never accepted: the step halves
-    toward the best one and stays below it. stp is None when 20
-    evaluations end without a step.
+    taken. Otherwise the next trial is the minimizer of the quadratic
+    through f, gd and f_t, kept within [0.1, 0.5] stp; a non-finite trial
+    halves the step. stp is None when 20 evaluations end without a step.
     """
-    gtest = 1e-3 * gd
-    stx = sty = 0.0
-    fx = fy = f
-    gx = gy = gd
-    best = (x, f, g)
-    brackt, stage1 = False, True
-    width, width1 = 1e10, 2e10
-    stmin, stmax = 0.0, 5.0 * stp
-    cap = math.inf  # the smallest step whose value was not finite
+    slack = _NOISE * max(abs(f), 1.0)
     for nfev in range(1, 21):
         trial = x + stp * d
         ft, gt = yield trial
         ft = float(ft)
         if not (math.isfinite(ft) and np.isfinite(gt).all()):
-            cap = stp
-            stp = 0.5 * (stx + cap)
-            continue
-        dg = float(gt.dot(d))
-        ftest = f + stp * gtest
-        stage1 = stage1 and not (ft <= ftest and dg >= 0.0)
-        if ft <= ftest + _NOISE * max(abs(f), 1.0) and abs(dg) <= -0.9 * gd:
+            stp *= 0.5
+        elif ft <= f + 1e-3 * stp * gd + slack:
             return stp, trial, ft, gt, nfev
-        try:
-            if stage1 and fx >= ft > ftest:
-                # the value fell, but not enough: step on f - stp * gtest instead
-                stx, fxm, gxm, sty, fym, gym, new, brackt = _dcstep(
-                    stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
-                    stp, ft - stp * gtest, dg - gtest, brackt, stmin, stmax,
-                )
-                fx, gx, fy, gy = fxm + stx * gtest, gxm + gtest, fym + sty * gtest, gym + gtest
-            else:
-                stx, fx, gx, sty, fy, gy, new, brackt = _dcstep(
-                    stx, fx, gx, sty, fy, gy, stp, ft, dg, brackt, stmin, stmax
-                )
-        except ZeroDivisionError:  # a degenerate interpolant: no further progress
-            return (stx,) + best + (nfev,)
-        if stx == stp:
-            best = (trial, ft, gt)
-        if brackt:
-            if abs(sty - stx) >= 0.66 * width1:
-                new = stx + 0.5 * (sty - stx)
-            width1, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
         else:
-            stmin, stmax = new + 1.1 * (new - stx), new + 4.0 * (new - stx)
-        stp = min(max(new, 0.0), 1e10)
-        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= 0.1 * stmax):
-            return (stx,) + best + (nfev,)
-        if stp >= cap:
-            stp = 0.5 * (stx + cap)
-    return (None,) + best + (nfev,)
+            # ft > f + 1e-3 stp gd makes the quadratic's curvature positive
+            quad = -0.5 * gd * stp * stp / (ft - f - gd * stp)
+            stp = min(max(quad, 0.1 * stp), 0.5 * stp)
+    return None, x, f, g, nfev
 
 
 def _lbfgs_steps(x0, maxiter: int, ftol: float, gtol: float):
@@ -273,12 +175,13 @@ def _lbfgs_steps(x0, maxiter: int, ftol: float, gtol: float):
 
     Unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989): memory 10,
     the two-loop recursion with H0 = (s.y / y.y) I from the newest pair, a
-    pair kept only when s.y > eps |g.s|, and _line_search from the step
-    1/|g| at first, then 1. As in L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM
-    J. Sci. Comput. 16, 1995) without bounds, a run succeeds once max|g| <=
-    gtol or (f_old - f) / max(|f_old|, |f|, 1) <= ftol after an iteration,
-    and fails on reaching maxiter or on a failed line search with no memory
-    left to reset; one with memory clears it and restarts along -g.
+    pair kept only when s.y > eps |g.s| (the backtracking _line_search checks
+    no curvature), and that search from the step 1/|g| at first, then 1. As
+    in L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995)
+    without bounds, a run succeeds once max|g| <= gtol or (f_old - f) /
+    max(|f_old|, |f|, 1) <= ftol after an iteration, and fails on reaching
+    maxiter or on a failed line search with no memory left to reset; one
+    with memory clears it and restarts along -g.
     """
     x = np.array(x0, dtype=float)
     f, g = yield x

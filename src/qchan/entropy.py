@@ -3,8 +3,8 @@
 All quantities are in bits (base-2 logarithms). Values are returned as
 EntropyScalar, a float subclass tagged with the kind of quantity it
 carries; an infinite relative entropy is a tagged +inf, never an
-overflow. Eigenvalues are clipped at zero before taking logarithms, with
-the limit x log x -> 0 applied at x = 0.
+overflow. A state's eigenvalues are clipped to [0, 1] (beyond is rounding)
+before taking logarithms, with the limit x log x -> 0 applied at x = 0.
 """
 
 from __future__ import annotations
@@ -90,14 +90,14 @@ def _entropy_bits(w) -> float:
 def _entropy_and_log2(mats: np.ndarray):
     """(S(X), log2 X) for a stack of Hermitian matrices X, from one eigh.
 
-    Eigenvalues are clipped at 0 for S and floored at 1e-300 inside log2
-    only: S is exact, and a null-space eigenvalue contributes a finite
-    -996.6 to log2 X, which callers must show never reaches their gradient.
+    Eigenvalues of the unit-trace X are clipped to [0, 1], so S >= +0.0, and
+    floored at 1e-300 inside log2 only: a null-space eigenvalue contributes a
+    finite -996.6 to log2 X, which callers must show never reaches their gradient.
     """
     lam, vecs = np.linalg.eigh(mats)
-    lam = np.maximum(lam, 0.0)
+    lam = np.clip(lam, 0.0, 1.0)
     logs = np.log2(np.maximum(lam, _LOG_FLOOR))
-    ent = -(lam * logs).sum(axis=-1)
+    ent = 0.0 - (lam * logs).sum(axis=-1)
     logm = (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return ent, logm
 
@@ -149,7 +149,7 @@ def binary_entropy(p: float) -> EntropyScalar:
 
 def von_neumann(rho) -> EntropyScalar:
     """S(rho) = -sum_i lambda_i log2 lambda_i over the spectrum."""
-    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
+    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, 1.0)
     return EntropyScalar(_entropy_bits(w), "von_neumann")
 
 

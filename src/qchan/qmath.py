@@ -49,6 +49,18 @@ def _as_matrix(obj) -> np.ndarray:
     return m
 
 
+def _complex_from_json(data: dict, ndim: int) -> np.ndarray:
+    """re + i im of a state's JSON dict, of shape (dim,) * ndim."""
+    try:
+        values = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        shape = (data["dim"],) * ndim
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidState(f"malformed state JSON: {exc!r}") from exc
+    if values.shape != shape:
+        raise DimensionMismatch(f"dim field disagrees with shape {values.shape}")
+    return values
+
+
 def _clipped_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix with tiny negatives clipped to 0."""
     w = np.linalg.eigvalsh(m)
@@ -166,10 +178,7 @@ class DensityMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "DensityMatrix":
-        m = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        if m.shape != (data["dim"], data["dim"]):
-            raise DimensionMismatch("dim field disagrees with matrix shape")
-        return cls(m)
+        return cls(_complex_from_json(data, 2))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, purity={self.purity():.6g})"
@@ -210,10 +219,7 @@ class PureState:
 
     @classmethod
     def from_json(cls, data: dict) -> "PureState":
-        amp = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        if amp.shape != (data["dim"],):
-            raise DimensionMismatch("dim field disagrees with amplitude length")
-        return cls(amp)
+        return cls(_complex_from_json(data, 1))
 
     def __repr__(self):
         return f"PureState(dim={self.dim})"

@@ -454,5 +454,5 @@ def config_from_json(data: dict) -> RepeaterConfig:
             F0=float(data["F0"]),
             c=float(data.get("c", SIGNAL_SPEED)),
         )
-    except KeyError as missing:
-        raise InvalidParameter(f"config JSON missing field {missing}") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a missing or non-numeric field, or no dict
+        raise InvalidParameter(f"malformed config JSON: {exc!r}") from exc

@@ -32,6 +32,7 @@ from qchan.capacity import (
     _MUTUAL,
     _NEG_OUTPUT,
     _lbfgs,
+    _line_search,
     _lockstep,
     _min_entropy_report,
     _pure_ensemble_neg_chi,
@@ -145,6 +146,16 @@ def _quadratic(n=50, seed=0):
     return (lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)), a, b
 
 
+def _drive(search, fun):
+    """Send a _line_search generator fun(trial) -> (value, gradient) until it returns."""
+    trial = next(search)
+    while True:
+        try:
+            trial = search.send(fun(trial))
+        except StopIteration as stop:
+            return stop.value
+
+
 class TestLbfgs:
     def test_rosenbrock_reaches_the_minimum(self):
         x, f, nit, nfev, success = _lbfgs(_rosenbrock, [-1.2, 1.0], 500, 1e-15, 1e-10)
@@ -177,6 +188,29 @@ class TestLbfgs:
         assert any(v < -0.1 for v in seen)
         assert success and math.isfinite(f)
         assert abs(x[0]) <= 1e-10
+
+    def test_line_search_steps_to_the_quadratic_minimizer(self):
+        # the trial at 1 fails sufficient decrease; the quadratic through f, g.d
+        # and that trial is f itself, so its minimizer 0.3 is the accepted step
+        def fun(x):
+            return float((x[0] - 0.3) ** 2), 2.0 * (x - 0.3)
+
+        x0, d = np.zeros(1), np.ones(1)
+        f, g = fun(x0)
+        stp, x, ft, _, nfev = _drive(_line_search(x0, f, g, d, float(g @ d), 1.0), fun)
+        assert nfev == 2
+        assert stp == pytest.approx(0.3, rel=1e-15)  # 0.3 up to one rounding
+        assert x.tolist() == [stp] and ft <= 1e-30
+
+    def test_line_search_without_decrease_fails_after_20_evaluations(self):
+        # |x| from 0 along d = 1 with the one-sided slope -1: every trial rises
+        def fun(x):
+            return abs(float(x[0])), np.sign(x)
+
+        x0, d = np.zeros(1), np.ones(1)
+        stp, x, f, _, nfev = _drive(_line_search(x0, 0.0, -d, d, -1.0, 1.0), fun)
+        assert (stp, nfev) == (None, 20)
+        assert x.tolist() == [0.0] and f == 0.0
 
     def test_q1_second_start_on_depolarizing_converges(self, monkeypatch):
         # L-BFGS-B takes 10 iterations and 29 evaluations from this start

@@ -258,6 +258,9 @@ class TestEntropyAndLog2:
     von_neumann(np.diag([1.0, 0.0])),
     von_neumann(np.diag([0.0, 0.0, 1.0])),
     renyi_entropy(np.diag([0.0, 1.0]), 1.0),
+    # an eigenvalue rounded above 1 would give a negative entropy
+    von_neumann(np.diag([1.0 + 4 * np.finfo(float).eps, 0.0])),
+    _entropy_and_log2(np.diag([1.0 + 4 * np.finfo(float).eps, 0.0])[None])[0][0],
 ])
 def test_vanishing_entropy_is_positive_zero(value):
     """-sum of all-zero terms is -0.0 in floating point; the entropies return +0.0."""

@@ -86,6 +86,19 @@ class TestDensityMatrix:
         assert np.allclose(back.matrix, rho.matrix)
 
 
+@pytest.mark.parametrize("cls,data", [
+    (DensityMatrix, {"dim": 1, "im": [[0.0]]}),
+    (DensityMatrix, {"dim": 1, "re": [[1.0]]}),
+    (DensityMatrix, {"dim": 1, "re": [[1.0]], "im": "x"}),
+    (PureState, {"dim": 1, "im": [0.0]}),
+    (PureState, {"dim": 1, "re": [1.0]}),
+    (PureState, {"dim": 1, "re": [1.0], "im": "x"}),
+])
+def test_malformed_state_json_rejected(cls, data):
+    with pytest.raises(InvalidState):
+        cls.from_json(data)
+
+
 class TestBloch:
     def test_rejects_norm_above_one(self):
         with pytest.raises(InvalidBlochVector):

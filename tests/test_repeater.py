@@ -410,9 +410,15 @@ class TestConfig:
         cfg = RepeaterConfig(L=160000.0, segments=8, P0=0.1, eta=0.5, F0=0.9)
         assert config_from_json(config_to_json(cfg)) == cfg
 
-    def test_json_missing_field_rejected(self):
+    @pytest.mark.parametrize("data", [
+        {"L": 1000.0, "segments": 2},
+        {"L": "abc", "segments": 2, "P0": 0.1, "eta": 0.5, "F0": 0.9},
+        {"L": None, "segments": 2, "P0": 0.1, "eta": 0.5, "F0": 0.9},
+        [1000.0, 2, 0.1, 0.5, 0.9],
+    ])
+    def test_malformed_json_rejected(self, data):
         with pytest.raises(InvalidParameter):
-            config_from_json({"L": 1000.0, "segments": 2})
+            config_from_json(data)
 
     def test_pair_state_validation(self):
         with pytest.raises(InvalidProbability):
