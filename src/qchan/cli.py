@@ -6,7 +6,7 @@ repeater-sim. Results are emitted as CSV (stable column order) or JSON
 failure, 2 invalid arguments or parameters.
 
 A verb imports only the modules it uses, and only its own options are
-built, so the two repeater verbs run without loading numpy.
+built, so the repeater verbs and `zero-error --graph` never load numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .errors import InvalidParameter, SolverError, ValidationError
 
@@ -228,8 +228,10 @@ def _cmd_capacity(args) -> str:
 def _cmd_zero_error(args) -> str:
     from . import zero_error as ze
 
+    # a --graph line that names no channel option was parsed without them (see build_parser)
+    from_channel = hasattr(args, "kind") and (args.kind or args.channel_file or _channel_params(args))
     channel = None
-    if args.graph and (args.kind or args.channel_file):
+    if args.graph and from_channel:
         raise InvalidParameter("give --graph or a channel (--kind, --channel-file), not both")
     if args.graph == "pentagon":
         graph = ze.pentagon_graph()
@@ -241,7 +243,7 @@ def _cmd_zero_error(args) -> str:
             ze._require_size(len(labels), args.uses, ze._EXACT_MIS_LIMIT, "the exact-search limit")
         graph = ze.graph_from_json(data)
         label = args.graph
-    elif args.kind or args.channel_file:
+    elif from_channel:
         channel = _build_channel(args)
         graph = ze.confusability_graph(channel)
         label = channel.label
@@ -370,9 +372,10 @@ def _capacity_options(sub) -> None:
     _add_output_options(sub, "csv")
 
 
-def _zero_error_options(sub) -> None:
+def _zero_error_options(sub, channel: bool = True) -> None:
     sub.add_argument("--graph", help="'pentagon' or a graph JSON path")
-    _add_channel_options(sub, with_sweep=False)
+    if channel:
+        _add_channel_options(sub, with_sweep=False)
     sub.add_argument("--uses", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     _add_output_options(sub, "csv")
@@ -416,12 +419,17 @@ _VERBS = {
 }
 
 
-def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
-    """The qchan parser, with the options of verb alone when one is given, else of every verb.
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The qchan parser, with the options of argv's verb alone when it names one, else of every verb.
 
     Building a verb's options imports the tables they read, so parsing one
-    verb loads no module that only another verb uses.
+    verb loads no module that only another verb uses. A zero-error line that
+    gives --graph and no option but --uses, --seed, --format and --out (any
+    dashed token counts, -h and negative values too) gets no channel option.
     """
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    names = {token.split("=", 1)[0] for token in argv[1:] if token.startswith("-")} if verb else set()
+    graph_only = "--graph" in names and names <= {"--graph", "--uses", "--seed", "--format", "--out"}
     parser = argparse.ArgumentParser(
         prog="qchan",
         description="Quantum channel toolbox: inspection, capacities, "
@@ -430,7 +438,9 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
     for name, (text, add_options, func) in _VERBS.items():
         sub = subs.add_parser(name, help=text)
-        if verb in (None, name):
+        if verb == name == "zero-error" and graph_only:
+            _zero_error_options(sub, channel=False)
+        elif verb in (None, name):
             add_options(sub)
         sub.set_defaults(func=func)
     return parser
@@ -438,7 +448,7 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         # refuse an unwritable output path before the verb runs; appending keeps a file as it is
         for path in filter(None, (args.out, getattr(args, "trace", None))):

@@ -245,9 +245,10 @@ def renyi_entropy(rho, r: float) -> EntropyScalar:
     """
     if not r >= 0:
         raise InvalidOrder(f"Renyi order {r} is negative or NaN")
-    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, None)
+    # clipped to [0, 1] as in von_neumann; 0.0 - x and x + 0.0 turn -0.0 into +0.0
+    w = np.clip(np.linalg.eigvalsh(_as_matrix(rho)), 0.0, 1.0)
     if math.isinf(r):
-        return EntropyScalar(-math.log2(float(w.max())), "renyi")
+        return EntropyScalar(0.0 - math.log2(float(w.max())), "renyi")
     if abs(r - 1.0) <= 1e-12:
         return EntropyScalar(_entropy_bits(w), "renyi")
     if r == 0.0:
@@ -255,7 +256,7 @@ def renyi_entropy(rho, r: float) -> EntropyScalar:
         return EntropyScalar(math.log2(rank), "renyi")
     pos = w[w > 0.0]
     total = float((pos**r).sum())
-    return EntropyScalar(math.log2(total) / (1.0 - r), "renyi")
+    return EntropyScalar(math.log2(total) / (1.0 - r) + 0.0, "renyi")
 
 
 def environment_state(rho, channel) -> np.ndarray:

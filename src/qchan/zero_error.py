@@ -3,7 +3,8 @@
 Builds confusability graphs from pairwise output-overlap tests, takes
 strong graph powers for block codes, computes exact maximum independent
 sets by branch and bound, and turns independence numbers into zero-error
-rate lower bounds.
+rate lower bounds. A graph is one int bitset per vertex, so numpy is
+loaded only to build one from a channel or to read its `adjacency`.
 """
 
 from __future__ import annotations
@@ -11,39 +12,67 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .channels import QuantumChannel, apply
 from .errors import InvalidParameter, InvalidState, TooLarge
-from .qmath import DensityMatrix, from_bloch
+
+if TYPE_CHECKING:
+    from .channels import QuantumChannel
+    from .qmath import DensityMatrix
 
 OVERLAP_TOL = 1e-10
-_PRODUCT_VERTEX_LIMIT = 100000
+_PRODUCT_VERTEX_LIMIT = 20000  # 20000 rows of 20000 bits take 50 MB
 _EXACT_MIS_LIMIT = 130
 
 
-class ConfusabilityGraph:
-    """Undirected graph whose edges join inputs the channel can confuse."""
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("labels", "adjacency")
+
+class ConfusabilityGraph:
+    """Undirected graph joining inputs the channel can confuse; masks[v] is v's neighbour bitset."""
+
+    __slots__ = ("labels", "masks")
 
     def __init__(self, labels: Sequence[str], adjacency):
         labels = tuple(str(x) for x in labels)
-        adj = np.array(adjacency, dtype=bool)
         n = len(labels)
-        if adj.shape != (n, n):
-            raise InvalidParameter(
-                f"adjacency shape {adj.shape} does not match {n} labels"
-            )
-        if not np.array_equal(adj, adj.T):
+        rows = adjacency.tolist() if hasattr(adjacency, "tolist") else adjacency
+        try:  # len raises TypeError on a scalar, or on a row that is one
+            square = len(rows) == n and all(len(r) == n for r in rows)
+            square = square and not any(hasattr(x, "__len__") for r in rows for x in r)
+        except TypeError:
+            square = False
+        if not square:
+            raise InvalidParameter(f"adjacency is not a {n} x {n} matrix for {n} labels")
+        masks = [sum(1 << k for k, x in enumerate(r) if x) for r in rows]
+        if any(masks[u] >> v & 1 == 0 for v, m in enumerate(masks) for u in _bits(m)):
             raise InvalidParameter("adjacency must be symmetric")
-        if adj.diagonal().any():
+        if any(m >> v & 1 for v, m in enumerate(masks)):
             raise InvalidParameter("adjacency must have an empty diagonal")
+        self.labels, self.masks = labels, tuple(masks)
+
+    @classmethod
+    def _of(cls, labels, masks) -> ConfusabilityGraph:
+        """The graph of masks already symmetric and loop-free, one per label."""
+        g = cls.__new__(cls)
+        g.labels, g.masks = tuple(labels), tuple(masks)
+        return g
+
+    @property
+    def adjacency(self):
+        """The adjacency matrix as a read-only numpy bool array, built on each access."""
+        import numpy as np
+
+        n, width = len(self.masks), (len(self.masks) + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in self.masks), np.uint8)
+        adj = np.unpackbits(packed, bitorder="little").reshape(n, 8 * width)[:, :n].astype(bool)
         adj.setflags(write=False)
-        self.labels = labels
-        self.adjacency = adj
+        return adj
 
     @property
     def vertex_count(self) -> int:
@@ -51,17 +80,16 @@ class ConfusabilityGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
+        return self.masks[v].bit_count()
 
     def is_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
+        return bool(self.masks[i] >> j & 1)
 
     def edges(self):
-        idx_i, idx_j = np.nonzero(np.triu(self.adjacency, 1))
-        return [(int(i), int(j)) for i, j in zip(idx_i, idx_j)]
+        return [(i, j) for i, m in enumerate(self.masks) for j in _bits(m) if j > i]
 
     def __repr__(self):
         return f"ConfusabilityGraph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -90,6 +118,8 @@ def non_adjacent(channel: QuantumChannel, rho1, rho2) -> bool:
 
 def pauli_eigenstates():
     """The six single-qubit Pauli eigenstates, labeled +z,-z,+x,-x,+y,-y."""
+    from .qmath import from_bloch
+
     vectors = {
         "+z": (0.0, 0.0, 1.0),
         "-z": (0.0, 0.0, -1.0),
@@ -111,6 +141,8 @@ def confusability_graph(
     The default candidate alphabet is the six Pauli eigenstates; two
     vertices are joined exactly when the channel outputs overlap.
     """
+    from .channels import apply
+
     if states is None:
         named = pauli_eigenstates()
         labels = [name for name, _ in named]
@@ -122,11 +154,9 @@ def confusability_graph(
         labels = [f"s{k}" for k in range(len(states))]
     outs = [apply(channel, rho).matrix for rho in states]
     n = len(outs)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            overlap = float(np.trace(outs[i] @ outs[j]).real)
-            adj[i, j] = adj[j, i] = overlap > OVERLAP_TOL
+    adj = [[False] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        adj[i][j] = adj[j][i] = float((outs[i] @ outs[j]).trace().real) > OVERLAP_TOL
     return ConfusabilityGraph(labels, adj)
 
 
@@ -139,14 +169,13 @@ def strong_product(g: ConfusabilityGraph, n: int) -> ConfusabilityGraph:
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
     _require_size(g.vertex_count, n, _PRODUCT_VERTEX_LIMIT, "the strong-product limit")
-    loop = g.adjacency | np.eye(g.vertex_count, dtype=bool)
-    acc = loop.astype(np.uint8)
+    # closed neighbourhoods; tuple (b, a) of G x G^k is vertex b * |G^k| + a, as in np.kron
+    acc = loop = [m | 1 << v for v, m in enumerate(g.masks)]
     for _ in range(n - 1):
-        acc = np.kron(acc, loop.astype(np.uint8))
-    adj = acc.astype(bool)
-    np.fill_diagonal(adj, False)
+        shifts = [[u * len(acc) for u in _bits(m)] for m in loop]
+        acc = [sum(x << s for s in row) for row in shifts for x in acc]  # disjoint shifts: sum is OR
     labels = ["(" + ",".join(combo) + ")" for combo in itertools.product(g.labels, repeat=n)]
-    return ConfusabilityGraph(labels, adj)
+    return ConfusabilityGraph._of(labels, (m ^ 1 << v for v, m in enumerate(acc)))
 
 
 def _greedy_independent_set(full: int, masks) -> int:
@@ -155,11 +184,7 @@ def _greedy_independent_set(full: int, masks) -> int:
     cand = full
     while cand:
         best_v, best_deg = -1, None
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
+        for v in _bits(cand):
             deg = (masks[v] & cand).bit_count()
             if best_deg is None or deg < best_deg:
                 best_v, best_deg = v, deg
@@ -191,13 +216,13 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     return _search(g)[:2]
 
 
-def _search(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...], int]:
-    """max_independent_set plus the count of nodes it expanded."""
-    nv = g.vertex_count
+def _search(g: ConfusabilityGraph, within: int = -1) -> Tuple[int, Tuple[int, ...], int]:
+    """max_independent_set on the vertex bitset within (all by default), plus the nodes expanded."""
+    within &= (1 << g.vertex_count) - 1
+    nv = within.bit_count()
     _require_size(nv, 1, _EXACT_MIS_LIMIT, "the exact-search limit")
-    order = sorted(range(nv), key=lambda v: (-g.degree(v), v))
-    rows = g.adjacency[np.ix_(order, order)].tolist()
-    masks = [sum(1 << k for k, edge in enumerate(row) if edge) for row in rows]
+    order = sorted(_bits(within), key=lambda v: (-(g.masks[v] & within).bit_count(), v))
+    masks = [sum(1 << k for k, u in enumerate(order) if g.masks[v] >> u & 1) for v in order]
     full = (1 << nv) - 1
     comp = [full & ~masks[v] & ~(1 << v) for v in range(nv)]
 
@@ -242,34 +267,33 @@ def _search(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...], int]:
 
     expand(0, 0, full)
 
-    witness = tuple(sorted(order[k] for k in range(nv) if best_mask >> k & 1))
+    witness = tuple(sorted(order[k] for k in _bits(best_mask)))
     _check_independent(g, witness)
     return best_size, witness, nodes
 
 
 def _check_independent(g: ConfusabilityGraph, witness: Sequence[int]) -> None:
-    if g.adjacency[np.ix_(witness, witness)].any():
+    if any(g.is_edge(u, v) for u in witness for v in witness):
         raise AssertionError("witness is not independent")
 
 
 def _vertex_transitive(g: ConfusabilityGraph) -> bool:
     """True when automorphisms map vertex 0 to every vertex, found by backtracking."""
-    rows = g.adjacency.tolist()
-    deg = [sum(r) for r in rows]
+    masks, nv, deg = g.masks, g.vertex_count, [m.bit_count() for m in g.masks]
 
     def extend(images) -> bool:
         # images[u] is the image of vertex u; vertex k's image keeps its
         # degree and its adjacency to every vertex already placed
         k = len(images)
-        return k == len(rows) or any(
+        return k == nv or any(
             w not in images
             and deg[w] == deg[k]
-            and all(rows[k][u] == rows[w][x] for u, x in enumerate(images))
+            and all(masks[k] >> u & 1 == masks[w] >> x & 1 for u, x in enumerate(images))
             and extend(images + [w])
-            for w in range(len(rows))
+            for w in range(nv)
         )
 
-    return bool(rows) and all(extend([v]) for v in range(1, len(rows)))
+    return nv > 0 and all(extend([v]) for v in range(1, nv))
 
 
 def zero_error_lower_bound(
@@ -285,16 +309,14 @@ def zero_error_lower_bound(
         raise InvalidParameter(f"need n >= 1, got {n}")
     if g.vertex_count == 0:
         raise InvalidParameter("the graph has no vertices, so no codeword exists")
-    # refuse before strong_product builds the dense power
+    # refuse before strong_product builds the power
     _require_size(g.vertex_count, n, _EXACT_MIS_LIMIT, "the exact-search limit")
     g_n = strong_product(g, n) if n > 1 else g
     notes = ["lower bound from finite block length; rate <= zero-error capacity"]
     if n > 1 and _vertex_transitive(g):
-        # Aut(G)^n is transitive on G^n, so vertex 0 is in some maximum independent set
-        rest = np.flatnonzero(~g_n.adjacency[0])[1:]
-        sub = ConfusabilityGraph(rest, g_n.adjacency[np.ix_(rest, rest)])
-        alpha, sub_witness, nodes = _search(sub)
-        alpha, witness = alpha + 1, (0, *(int(rest[v]) for v in sub_witness))
+        # Aut(G)^n is transitive on G^n, so a maximum independent set is 0 and non-neighbours of 0
+        alpha, witness, nodes = _search(g_n, ~g_n.masks[0] & ~1)
+        alpha, witness = alpha + 1, (0, *witness)
         _check_independent(g_n, witness)
         notes.append(f"vertex-transitive base: {g_n.labels[0]} fixed")
     else:
@@ -319,9 +341,7 @@ def zero_error_lower_bound(
 
 def pentagon_graph() -> ConfusabilityGraph:
     """The 5-cycle: each vertex confusable with its two cyclic neighbors."""
-    adj = np.zeros((5, 5), dtype=bool)
-    for i in range(5):
-        adj[i, (i + 1) % 5] = adj[(i + 1) % 5, i] = True
+    adj = [[(i - j) % 5 in (1, 4) for j in range(5)] for i in range(5)]
     return ConfusabilityGraph([f"v{i}" for i in range(5)], adj)
 
 
@@ -335,11 +355,12 @@ def graph_from_json(data: dict) -> ConfusabilityGraph:
     if not (isinstance(labels, list) and labels and isinstance(edges, list)):
         raise InvalidParameter('graph JSON must be {"labels": [...], "edges": [[i, j], ...]}')
     n = len(labels)
-    adj = np.zeros((n, n), dtype=bool)
+    masks = [0] * n
     for pair in edges:
         # exact ints only: JSON true/false are bools and 1.7 a float, neither an index
         ok = isinstance(pair, list) and len(pair) == 2
         if not (ok and all(type(k) is int and 0 <= k < n for k in pair)) or pair[0] == pair[1]:
             raise InvalidParameter(f"bad edge {pair!r}: need two distinct indices below {n}")
-        adj[pair[0], pair[1]] = adj[pair[1], pair[0]] = True
-    return ConfusabilityGraph(labels, adj)
+        masks[pair[0]] |= 1 << pair[1]
+        masks[pair[1]] |= 1 << pair[0]
+    return ConfusabilityGraph._of((str(x) for x in labels), masks)

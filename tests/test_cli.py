@@ -12,7 +12,7 @@ import pytest
 
 import qchan
 from qchan import channel_to_json, make_channel
-from qchan.cli import SWEEP_LIMIT, _parse_sweep, main
+from qchan.cli import SWEEP_LIMIT, _parse_sweep, build_parser, main
 from qchan.errors import InvalidParameter
 
 
@@ -322,12 +322,44 @@ class TestZeroErrorVerb:
     @pytest.mark.parametrize("channel", [
         ("--kind", "depolarizing", "--p", "0.3"),
         ("--channel-file", "chan.json"),
+        ("--p", "0.3"),
+        ("--gamma", "0.3"),
+        ("--q", "0.3"),
+        ("--d", "3"),
     ])
     def test_graph_with_a_channel_exits_two(self, capsys, channel):
         code, out, err = run(capsys, "zero-error", "--graph", "pentagon", *channel)
         assert code == 2
         assert out == ""
         assert "not both" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--graph", "pentagon", "--uses", "2"),
+        ("--graph=pentagon", "--uses=3", "--seed", "4", "--format", "json", "--out", "x.csv"),
+    ])
+    def test_graph_line_parses_as_with_every_option(self, argv):
+        """A --graph line parsed without the channel options reads as the full parser reads it."""
+        argv = ["zero-error", *argv]
+        short, full = vars(build_parser(argv).parse_args(argv)), vars(build_parser().parse_args(argv))
+        assert "kind" not in short
+        assert short == {name: full[name] for name in short}
+        assert all(full[name] is None for name in full.keys() - short.keys())
+
+    @pytest.mark.parametrize("argv", [
+        ("--gra", "pentagon"),
+        ("--graph", "pentagon", "--p", "0.3"),
+        ("--graph", "pentagon", "--seed", "-1"),
+        ("--graph", "pentagon", "--out", "-"),
+        ("--uses", "2"),
+    ])
+    def test_other_lines_get_the_channel_options(self, argv):
+        argv = ["zero-error", *argv]
+        assert vars(build_parser(argv).parse_args(argv)).keys() == vars(build_parser().parse_args(argv)).keys()
+
+    def test_help_of_a_graph_line_lists_the_channel_options(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["zero-error", "--graph", "pentagon", "-h"])
+        assert "--kind" in capsys.readouterr().out
 
 
 class TestRepeaterRateVerb:
@@ -542,7 +574,8 @@ def test_capacity_solvers_never_import_scipy():
      "numpy"),
     (("capacity", "--kind", "depolarizing", "--p", "0.2"), "qchan.repeater"),
     (("channel-inspect", "--kind", "amplitude_damping", "--gamma", "0.3"), "qchan.repeater"),
-], ids=["import qchan", "repeater-rate", "repeater-sim", "capacity", "channel-inspect"])
+    (("zero-error", "--graph", "pentagon", "--uses", "2"), "numpy"),
+], ids=["import qchan", "repeater-rate", "repeater-sim", "capacity", "channel-inspect", "zero-error"])
 def test_start_up_leaves_unused_modules_unloaded(argv, module):
     """The package imports an export on first use and a verb imports only the modules it uses."""
     probe = "import os, sys, qchan; code = 0"
@@ -666,6 +699,7 @@ MALFORMED_COMMANDS = [
     (("repeater-sim", "--policy", "banded", "--target", "0.95", "--l0", "zz"), None, 2),
     (("capacity", "--kind", "depolarizing", "--sweep", "x:1:0.1"), None, 2),
     (("zero-error", "--graph", "pentagon", "--uses", str(10**8)), None, 1),
+    (("zero-error", "--graph", "pentagon", "--p", "0.3"), None, 2),
     (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": [["x", 1]]}', 2),
     (("zero-error", "--graph", "{file}"), '{"labels": ["a", "b"], "edges": [[0]]}', 2),
     (("zero-error", "--graph", "{file}"), '{"labels": 5}', 2),

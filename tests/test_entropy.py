@@ -260,6 +260,7 @@ class TestEntropyAndLog2:
     renyi_entropy(np.diag([0.0, 1.0]), 1.0),
     # an eigenvalue rounded above 1 would give a negative entropy
     von_neumann(np.diag([1.0 + 4 * np.finfo(float).eps, 0.0])),
+    *(renyi_entropy(np.diag([1.0 + 4 * np.finfo(float).eps, 0.0]), r) for r in (0.5, 1.0, 2.0, math.inf)),
     _entropy_and_log2(np.diag([1.0 + 4 * np.finfo(float).eps, 0.0])[None])[0][0],
 ])
 def test_vanishing_entropy_is_positive_zero(value):

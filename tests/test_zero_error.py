@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -72,6 +73,35 @@ class TestGraphType:
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(InvalidParameter):
             ConfusabilityGraph(["a", "b", "c"], np.zeros((2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("adjacency", [
+        [[False], [False, False]],
+        5,
+        None,
+        [5, 5],
+        ["ab", "ab"],
+        [[[False], [False]], [[False], [False]]],
+        np.zeros((2, 2, 1), dtype=bool),
+        np.zeros(4, dtype=bool),
+    ], ids=["ragged", "scalar", "none", "row of scalars", "strings", "nested 3-d", "array 3-d", "array 1-d"])
+    def test_rejects_malformed_adjacency(self, adjacency):
+        with pytest.raises(InvalidParameter, match="not a 2 x 2 matrix"):
+            ConfusabilityGraph(["a", "b"], adjacency)
+
+    def test_lists_and_arrays_build_equal_graphs(self):
+        rows = [[(i - j) % 6 in (1, 2, 4, 5) for j in range(6)] for i in range(6)]
+        labels = [f"u{k}" for k in range(6)]
+        from_lists = ConfusabilityGraph(labels, rows)
+        from_array = ConfusabilityGraph(labels, np.array(rows))
+        assert from_lists.masks == from_array.masks
+        assert from_lists.edges() == from_array.edges()
+        assert np.array_equal(from_lists.adjacency, rows)
+
+    def test_adjacency_is_read_only(self):
+        adj = pentagon_graph().adjacency
+        assert adj.dtype == bool and adj.shape == (5, 5)
+        with pytest.raises(ValueError):
+            adj[0, 2] = True
 
     def test_pentagon_shape(self):
         g = pentagon_graph()
@@ -149,9 +179,25 @@ class TestStrongProduct:
         with pytest.raises(InvalidParameter):
             strong_product(pentagon_graph(), 0)
 
-    def test_vertex_budget_enforced(self):
-        with pytest.raises(TooLarge, match="390625 vertices exceeds the strong-product limit"):
-            strong_product(pentagon_graph(), 8)
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_vertex_budget_enforced(self, n):
+        with pytest.raises(TooLarge, match=f"{5**n} vertices exceeds the strong-product limit 20000"):
+            strong_product(pentagon_graph(), n)
+
+    @pytest.mark.parametrize("base,n", [
+        ("pentagon", 2), ("pentagon", 3), ("bit_flip", 2), ("dephasing", 3),
+    ])
+    def test_edges_match_the_definition_in_order(self, base, n):
+        # vertex order is itertools.product's, edges are (i, j) pairs with i < j in row order
+        g = pentagon_graph() if base == "pentagon" else pauli_graph(base)
+        tuples = list(itertools.product(range(g.vertex_count), repeat=n))
+        expected = [
+            [i, j] for i, j in itertools.combinations(range(len(tuples)), 2)
+            if all(a == b or g.is_edge(a, b) for a, b in zip(tuples[i], tuples[j]))
+        ]
+        out = graph_to_json(strong_product(g, n))
+        assert out["edges"] == expected
+        assert out["labels"] == ["(" + ",".join(g.labels[k] for k in t) + ")" for t in tuples]
 
     def test_many_uses_refused_without_forming_the_power(self):
         with pytest.raises(TooLarge, match=r"5\^10000 vertices exceeds the strong-product limit"):
