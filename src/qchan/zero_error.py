@@ -3,8 +3,10 @@
 Builds confusability graphs from pairwise output-overlap tests, takes
 strong graph powers for block codes, computes exact maximum independent
 sets by branch and bound, and turns independence numbers into zero-error
-rate lower bounds. A graph is one int bitset per vertex, so numpy is
-loaded only to build one from a channel or to read its `adjacency`.
+rate lower bounds, on a vertex-transitive base with vertex 0 fixed and one
+root branch per orbit of its stabilizer. A graph is one int bitset per
+vertex, so numpy is loaded only to build one from a channel or to read
+its `adjacency`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _distinct(labels: Tuple[str, ...]) -> Tuple[str, ...]:
+    """labels, or InvalidParameter naming one repeated: a witness must tell its codewords apart."""
+    if len(set(labels)) < len(labels):
+        repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise InvalidParameter(f"label {repeated!r} is repeated")
+    return labels
+
+
 class ConfusabilityGraph:
     """Undirected graph joining inputs the channel can confuse; masks[v] is v's neighbour bitset."""
 
@@ -54,7 +64,7 @@ class ConfusabilityGraph:
             raise InvalidParameter("adjacency must be symmetric")
         if any(m >> v & 1 for v, m in enumerate(masks)):
             raise InvalidParameter("adjacency must have an empty diagonal")
-        self.labels, self.masks = labels, tuple(masks)
+        self.labels, self.masks = _distinct(labels), tuple(masks)
 
     @classmethod
     def _of(cls, labels, masks) -> ConfusabilityGraph:
@@ -180,16 +190,11 @@ def strong_product(g: ConfusabilityGraph, n: int) -> ConfusabilityGraph:
 
 def _greedy_independent_set(full: int, masks) -> int:
     """Min-degree greedy independent set, used to seed the exact search."""
-    chosen = 0
-    cand = full
+    chosen, cand = 0, full
     while cand:
-        best_v, best_deg = -1, None
-        for v in _bits(cand):
-            deg = (masks[v] & cand).bit_count()
-            if best_deg is None or deg < best_deg:
-                best_v, best_deg = v, deg
-        chosen |= 1 << best_v
-        cand &= ~masks[best_v] & ~(1 << best_v)
+        v = min(_bits(cand), key=lambda v: (masks[v] & cand).bit_count())
+        chosen |= 1 << v
+        cand &= ~masks[v] & ~(1 << v)
     return chosen
 
 
@@ -211,18 +216,25 @@ def max_independent_set(g: ConfusabilityGraph) -> Tuple[int, Tuple[int, ...]]:
     independent set can still grow) and branching walks the colors from
     the top. Seeded with a min-degree greedy solution. Vertex order is
     fixed, so results are deterministic; the witness is re-verified
-    edge-free before returning.
+    edge-free before returning. Nothing is pruned by symmetry here.
     """
     return _search(g)[:2]
 
 
-def _search(g: ConfusabilityGraph, within: int = -1) -> Tuple[int, Tuple[int, ...], int]:
-    """max_independent_set on the vertex bitset within (all by default), plus the nodes expanded."""
+def _search(g: ConfusabilityGraph, within: int = -1, orbits=()) -> Tuple[int, Tuple[int, ...], int]:
+    """max_independent_set on the vertex bitset within (all by default), plus the nodes expanded.
+
+    orbits[v] is v's orbit (v alone by default) under automorphisms that keep within. Once
+    every set through v is searched, the root drops v's orbit, not v alone: an automorphism
+    keeping the orbits dropped so far maps each set through an orbit-mate onto one through v.
+    """
     within &= (1 << g.vertex_count) - 1
     nv = within.bit_count()
     _require_size(nv, 1, _EXACT_MIS_LIMIT, "the exact-search limit")
     order = sorted(_bits(within), key=lambda v: (-(g.masks[v] & within).bit_count(), v))
+    orbits = orbits or [1 << v for v in range(g.vertex_count)]
     masks = [sum(1 << k for k, u in enumerate(order) if g.masks[v] >> u & 1) for v in order]
+    orbit = [sum(1 << k for k, u in enumerate(order) if orbits[v] >> u & 1) for v in order]
     full = (1 << nv) - 1
     comp = [full & ~masks[v] & ~(1 << v) for v in range(nv)]
 
@@ -251,19 +263,22 @@ def _search(g: ConfusabilityGraph, within: int = -1) -> Tuple[int, Tuple[int, ..
     def expand(cur_mask: int, cur_size: int, cand: int):
         nonlocal best_size, best_mask, nodes
         nodes += 1
+        root = cur_size == 0
         vs, colors = color_sort(cand)
         for i in range(len(vs) - 1, -1, -1):
             if cur_size + colors[i] <= best_size:
                 return
             v = vs[i]
             bit = 1 << v
+            if root and not cand & bit:
+                continue  # dropped with an earlier vertex's orbit
             new_cand = cand & comp[v]
             if new_cand:
                 expand(cur_mask | bit, cur_size + 1, new_cand)
             elif cur_size + 1 > best_size:
                 best_size = cur_size + 1
                 best_mask = cur_mask | bit
-            cand &= ~bit
+            cand &= ~(orbit[v] if root else bit)
 
     expand(0, 0, full)
 
@@ -277,23 +292,47 @@ def _check_independent(g: ConfusabilityGraph, witness: Sequence[int]) -> None:
         raise AssertionError("witness is not independent")
 
 
+def _automorphism(masks, pins: dict) -> Optional[dict]:
+    """An automorphism (vertex -> image) extending pins, or None, found by backtracking.
+
+    Pins go first, then always the vertex with the most neighbours placed;
+    each image keeps the degree and the adjacency to every vertex placed.
+    """
+    nv, deg, full = len(masks), [m.bit_count() for m in masks], (1 << len(masks)) - 1
+    order, rest = [*pins], full - sum(1 << v for v in pins)
+    while rest:
+        order.append(max(_bits(rest), key=lambda v: (masks[v] & ~rest).bit_count()))
+        rest ^= 1 << order[-1]
+
+    def extend(images, taken: int):
+        if len(images) == nv:
+            yield dict(zip(order, images))
+            return
+        v = order[len(images)]
+        # the images of v's placed neighbours, which w's placed neighbours must be
+        want = sum(1 << x for u, x in zip(order, images) if masks[v] >> u & 1)
+        for w in _bits(~taken & (1 << pins[v] if v in pins else full)):
+            if deg[w] == deg[v] and masks[w] & taken == want:
+                yield from extend(images + [w], taken | 1 << w)
+
+    return next(extend([], 0), None)
+
+
 def _vertex_transitive(g: ConfusabilityGraph) -> bool:
-    """True when automorphisms map vertex 0 to every vertex, found by backtracking."""
-    masks, nv, deg = g.masks, g.vertex_count, [m.bit_count() for m in g.masks]
+    """True when automorphisms map vertex 0 to every vertex."""
+    nv = g.vertex_count
+    return nv > 0 and all(_automorphism(g.masks, {0: v}) for v in range(1, nv))
 
-    def extend(images) -> bool:
-        # images[u] is the image of vertex u; vertex k's image keeps its
-        # degree and its adjacency to every vertex already placed
-        k = len(images)
-        return k == nv or any(
-            w not in images
-            and deg[w] == deg[k]
-            and all(masks[k] >> u & 1 == masks[w] >> x & 1 for u, x in enumerate(images))
-            and extend(images + [w])
-            for w in range(nv)
-        )
 
-    return nv > 0 and all(extend([v]) for v in range(1, nv))
+def _stabilizer_orbits(g: ConfusabilityGraph, n: int) -> list:
+    """Per vertex of G^n, its orbit's bitset under Stab_G(0)^n and coordinate permutations."""
+    nv, base = g.vertex_count, list(range(g.vertex_count))
+    for u, w in itertools.combinations(range(1, nv), 2):
+        if base[u] == u and base[w] == w and _automorphism(g.masks, {0: 0, u: w}):
+            base[w] = u
+    # a tuple's orbit: the tuples whose coordinates' orbits under Stab_G(0) form the same multiset
+    keys = [sorted(base[c] for c in coords) for coords in itertools.product(range(nv), repeat=n)]
+    return [sum(1 << v for v, other in enumerate(keys) if other == key) for key in keys]
 
 
 def zero_error_lower_bound(
@@ -307,6 +346,8 @@ def zero_error_lower_bound(
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
+    if hsw_upper is not None and not math.isfinite(hsw_upper):
+        raise InvalidParameter(f"hsw_upper must be finite, got {hsw_upper}")
     if g.vertex_count == 0:
         raise InvalidParameter("the graph has no vertices, so no codeword exists")
     # refuse before strong_product builds the power
@@ -315,7 +356,7 @@ def zero_error_lower_bound(
     notes = ["lower bound from finite block length; rate <= zero-error capacity"]
     if n > 1 and _vertex_transitive(g):
         # Aut(G)^n is transitive on G^n, so a maximum independent set is 0 and non-neighbours of 0
-        alpha, witness, nodes = _search(g_n, ~g_n.masks[0] & ~1)
+        alpha, witness, nodes = _search(g_n, ~g_n.masks[0] & ~1, _stabilizer_orbits(g, n))
         alpha, witness = alpha + 1, (0, *witness)
         _check_independent(g_n, witness)
         notes.append(f"vertex-transitive base: {g_n.labels[0]} fixed")
@@ -363,4 +404,4 @@ def graph_from_json(data: dict) -> ConfusabilityGraph:
             raise InvalidParameter(f"bad edge {pair!r}: need two distinct indices below {n}")
         masks[pair[0]] |= 1 << pair[1]
         masks[pair[1]] |= 1 << pair[0]
-    return ConfusabilityGraph._of((str(x) for x in labels), masks)
+    return ConfusabilityGraph._of(_distinct(tuple(str(x) for x in labels)), masks)

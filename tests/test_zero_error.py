@@ -48,6 +48,17 @@ def petersen_graph():
     return graph_of_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
 
 
+def circulant_graph(m, steps):
+    return graph_of_edges(m, [(i, (i + s) % m) for i in range(m) for s in steps])
+
+
+def rook_graph():
+    """K3 x K3 (Cartesian): cells of a 3 x 3 board, joined when they share a row or a column."""
+    cells = list(itertools.product(range(3), repeat=2))
+    pairs = itertools.combinations(range(9), 2)
+    return graph_of_edges(9, [(i, j) for i, j in pairs if (cells[i][0] == cells[j][0]) != (cells[i][1] == cells[j][1])])
+
+
 def pauli_graph(kind):
     return confusability_graph(make_channel(kind, p=0.3) if kind != "identity" else make_channel(kind))
 
@@ -87,6 +98,14 @@ class TestGraphType:
     def test_rejects_malformed_adjacency(self, adjacency):
         with pytest.raises(InvalidParameter, match="not a 2 x 2 matrix"):
             ConfusabilityGraph(["a", "b"], adjacency)
+
+    def test_rejects_repeated_labels(self):
+        with pytest.raises(InvalidParameter, match="label 'a' is repeated"):
+            ConfusabilityGraph(["a", "b", "a"], np.zeros((3, 3), dtype=bool))
+
+    def test_power_labels_stay_distinct(self):
+        g2 = strong_product(pentagon_graph(), 2)
+        assert len(set(g2.labels)) == g2.vertex_count == 25
 
     def test_lists_and_arrays_build_equal_graphs(self):
         rows = [[(i - j) % 6 in (1, 2, 4, 5) for j in range(6)] for i in range(6)]
@@ -291,6 +310,12 @@ class TestLowerBound:
         with pytest.raises(InvalidParameter):
             zero_error_lower_bound(pentagon_graph(), 0)
 
+    @pytest.mark.parametrize("hsw_upper", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_capacity(self, hsw_upper):
+        # nan once recorded "ordering violated" and inf "ordering holds"
+        with pytest.raises(InvalidParameter, match="hsw_upper must be finite"):
+            zero_error_lower_bound(pentagon_graph(), 2, hsw_upper=hsw_upper)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_rejects_a_graph_without_vertices(self, n):
         # the constructor accepts one: the symmetric search builds it on complete bases
@@ -319,6 +344,15 @@ class TestGraphJson:
     def test_rejects_missing_labels(self):
         with pytest.raises(InvalidParameter):
             graph_from_json({"edges": []})
+
+    def test_rejects_repeated_labels(self):
+        # accepted, a 2-use report read K = 4 with the witness ('(a,a)',) * 4
+        with pytest.raises(InvalidParameter, match="label 'a' is repeated"):
+            graph_from_json({"labels": ["a", "a", "b"], "edges": [[0, 2]]})
+
+    def test_labels_repeated_once_stringified_are_refused(self):
+        with pytest.raises(InvalidParameter, match="label '1' is repeated"):
+            graph_from_json({"labels": [1, "1"], "edges": []})
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(InvalidParameter):
@@ -374,6 +408,57 @@ class TestVertexTransitive:
         assert not zero_error._vertex_transitive(g)
 
 
+def stabilizer_orbits_off_zero(g, n):
+    """G^n and the orbits the search uses, as sorted vertex lists over vertex 0's non-neighbours."""
+    g_n = strong_product(g, n)
+    orbits = zero_error._stabilizer_orbits(g, n)
+    within = [v for v in range(1, g_n.vertex_count) if not g_n.is_edge(0, v)]
+    return g_n, sorted({tuple(zero_error._bits(orbits[v])) for v in within})
+
+
+class TestStabilizerOrbits:
+    def test_automorphism_keeps_pins_and_edges(self):
+        g = petersen_graph()
+        images = zero_error._automorphism(g.masks, {0: 0, 1: 4})
+        assert images[0] == 0 and images[1] == 4
+        perm = [images[v] for v in range(10)]
+        assert sorted(perm) == list(range(10))
+        adj = g.adjacency
+        assert np.array_equal(adj[np.ix_(perm, perm)], adj)
+
+    def test_automorphism_refuses_impossible_pins(self):
+        path = graph_of_edges(3, [(0, 1), (1, 2)])
+        assert zero_error._automorphism(path.masks, {0: 1}) is None
+        assert zero_error._automorphism(path.masks, {0: 2}) == {0: 2, 1: 1, 2: 0}
+
+    def test_pentagon_square_orbit_sizes(self):
+        # (v0,v0)'s 16 non-neighbours: a coordinate 2 or 3 away next to 0, 1 away, or 2 away
+        _, orbits = stabilizer_orbits_off_zero(pentagon_graph(), 2)
+        assert sorted(len(o) for o in orbits) == [4, 4, 8]
+
+    def test_pentagon_cube_has_six_orbits(self):
+        g3, orbits = stabilizer_orbits_off_zero(pentagon_graph(), 3)
+        assert len(orbits) == 6
+        assert sum(len(o) for o in orbits) == 98 == 124 - g3.degree(0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_mates_are_joined_by_automorphisms_fixing_zero(self, n):
+        # joining every member to its orbit's first one joins every pair, by composition
+        g_n, orbits = stabilizer_orbits_off_zero(pentagon_graph(), n)
+        adj = g_n.adjacency
+        for orbit in orbits:
+            for w in orbit:
+                images = zero_error._automorphism(g_n.masks, {0: 0, orbit[0]: w})
+                perm = [images[v] for v in range(g_n.vertex_count)]
+                assert perm[0] == 0 and perm[orbit[0]] == w
+                assert np.array_equal(adj[np.ix_(perm, perm)], adj)
+
+    def test_each_vertex_alone_on_a_rigid_fix(self):
+        # the path's only automorphism fixing vertex 0 is the identity
+        path = graph_of_edges(3, [(0, 1), (1, 2)])
+        assert zero_error._stabilizer_orbits(path, 1) == [1, 2, 4]
+
+
 class TestSymmetricSearch:
     @pytest.mark.parametrize("g", [
         cycle_graph(5), cycle_graph(7), cycle_graph(9), complete_graph(3), empty_graph(3),
@@ -403,6 +488,41 @@ class TestSymmetricSearch:
         rep = zero_error_lower_bound(pentagon_graph(), 3)
         assert rep.K == 10
         assert 0 < rep.nodes <= 100_000
+
+    def test_pentagon_cube_orbit_pruned_budget(self):
+        # one root branch per orbit of (v0,v0,v0)'s stabilizer: 5,882 nodes against 60,326
+        rep = zero_error_lower_bound(pentagon_graph(), 3)
+        assert rep.K == 10
+        assert 0 < rep.nodes <= 10_000
+
+    @pytest.mark.parametrize("g, n", [
+        (circulant_graph(7, (1, 2)), 2), (circulant_graph(8, (1, 4)), 2),
+        (circulant_graph(9, (1, 3)), 2), (circulant_graph(10, (1, 4)), 2), (rook_graph(), 2),
+        (circulant_graph(4, (1,)), 3), (circulant_graph(4, (2,)), 3),
+    ], ids=["C7(1,2)", "C8(1,4)", "C9(1,3)", "C10(1,4)", "K3xK3", "C4^3", "2K2^3"])
+    def test_orbit_pruning_matches_the_whole_power(self, g, n):
+        rep = zero_error_lower_bound(g, n)
+        g_n = strong_product(g, n)
+        assert any("vertex-transitive" in note for note in rep.notes)
+        assert rep.K == max_independent_set(g_n)[0]
+        assert rep.witness[0] == g_n.labels[0] and len(rep.witness) == rep.K
+        assert_independent_in(g_n, rep.witness)
+
+    @pytest.mark.parametrize("g, n", [(petersen_graph(), 2), (pentagon_graph(), 3)], ids=["petersen^2", "C5^3"])
+    def test_orbit_pruning_matches_the_unpruned_search(self, g, n):
+        # the whole-power searches take 2 s and 4 s; vertex 0 fixed without
+        # pruning finds the same alpha, as the transitive bases above show
+        rep = zero_error_lower_bound(g, n)
+        g_n = strong_product(g, n)
+        alpha, _, nodes = zero_error._search(g_n, ~g_n.masks[0] & ~1)
+        assert rep.K == alpha + 1
+        assert rep.nodes < nodes
+        assert rep.witness[0] == g_n.labels[0]
+        assert_independent_in(g_n, rep.witness)
+
+    @pytest.mark.parametrize("g, n", [(petersen_graph(), 2), (pentagon_graph(), 3)], ids=["petersen^2", "C5^3"])
+    def test_reruns_give_identical_reports(self, g, n):
+        assert repr(zero_error_lower_bound(g, n)) == repr(zero_error_lower_bound(g, n))
 
     def test_single_use_searches_the_whole_graph(self):
         rep = zero_error_lower_bound(pentagon_graph(), 1)
