@@ -316,8 +316,9 @@ def _cmd_repeater_sim(args) -> str:
     from . import repeater as rep
 
     cfg = _repeater_config(args, args.p0)
-    traces = [
-        rep.simulate_schedule(
+    traces, rows = [], []
+    for trial in range(args.trials):
+        t = rep.simulate_schedule(
             args.policy,
             args.target,
             cfg,
@@ -325,16 +326,14 @@ def _cmd_repeater_sim(args) -> str:
             force_success=args.force_success,
             bands=args.bands,
         )
-        for trial in range(args.trials)
-    ]
+        rows.append((trial, t.seed, t.outcome, t.rounds, t.raw_pairs_consumed, t.final_fidelity))
+        # JSON prints every trace; CSV needs trial 0's alone, and only for --trace
+        if args.format == "json" or (args.trace and not traces):
+            traces.append(t)
     if args.trace:
         _emit(rep.trace_events_jsonl(traces[0]), args.trace)
     if args.format == "json":
         return _json_text([rep.trace_to_json(t) for t in traces])
-    rows = [
-        (k, t.seed, t.outcome, t.rounds, t.raw_pairs_consumed, t.final_fidelity)
-        for k, t in enumerate(traces)
-    ]
     return _csv_text(SIM_COLUMNS, rows)
 
 

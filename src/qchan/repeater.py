@@ -293,10 +293,11 @@ def simulate_schedule(
     target, or "exhausted" at the round cap or the raw-pair budget. Both
     limits and band_wait_cap are non-negative integers, bands a positive one.
 
-    Pumping and greedy purify as soon as two pairs are held, so both pick
-    the only two. For F0 > 1/2 a purified pair beats a fresh one, both
-    list the older pair first, and their traces are identical; below
-    F0 = 1/2 they differ only in the order of a purify event's two inputs.
+    Pumping and greedy purify as soon as two pairs are held, so neither
+    ever holds more than two and both picks are O(1). For F0 > 1/2 a
+    purified pair beats a fresh one, both list the older pair first, and
+    their traces are identical; below F0 = 1/2 they differ only in the
+    order of a purify event's two inputs. Events are TraceEvent instances.
     """
     if policy not in POLICIES:
         raise InvalidParameter(f"unknown policy {policy!r}; choose from {POLICIES}")
@@ -324,11 +325,13 @@ def simulate_schedule(
         full = [level for level, ids in groups.items() if len(ids) >= 2]
         return tuple(groups[min(full)][:2]) if full else None
 
+    # pumping and greedy purify as soon as they hold two pairs, so they never hold more
     def first_and_last():
-        return (next(iter(pairs)), next(reversed(pairs))) if len(pairs) >= 2 else None
+        return tuple(pairs)
 
-    def best_overall():
-        return _best_two([(pid, rec[0]) for pid, rec in pairs.items()]) if len(pairs) >= 2 else None
+    def best_of_two():  # _best_two on two members
+        a, b = pairs
+        return (b, a) if pairs[b][0] > pairs[a][0] else (a, b)
 
     def best_in_top_band():
         groups: Dict[int, List[Tuple[int, float]]] = {}
@@ -340,11 +343,14 @@ def simulate_schedule(
     pick = {
         "symmetric": by_level,
         "pumping": first_and_last,
-        "greedy": best_overall,
+        "greedy": best_of_two,
         "banded": best_in_top_band,
     }[policy]
     draw = random.Random(seed).random
     events: List[TraceEvent] = []
+    add = events.append
+    # tuple.__new__ skips the NamedTuple's Python-level __new__; still a TraceEvent
+    event = tuple.__new__
     next_id = 0
     raw = 0
     outcome = "exhausted"
@@ -360,9 +366,9 @@ def simulate_schedule(
                 if rnd - birth <= band_wait_cap:
                     break
                 del pairs[pid]
-                events.append(TraceEvent(rnd, "discard", (pid,), True, f))
+                add(event(TraceEvent, (rnd, "discard", (pid,), True, f)))
 
-        chosen = pick()
+        chosen = pick() if len(pairs) >= 2 else None
         if chosen is not None:
             a, b = chosen
             (f1, level1, _), (f2, level2, _) = pairs.pop(a), pairs.pop(b)
@@ -372,14 +378,14 @@ def simulate_schedule(
                 raise DegeneratePair("purification success probability is zero")
             if force_success or draw() < p:
                 f_out = f1 * f2 / p
-                pairs[next_id] = (f_out, max(level1, level2) + 1, rnd)
+                pairs[next_id] = (f_out, (level1 if level1 > level2 else level2) + 1, rnd)
                 next_id += 1
-                events.append(TraceEvent(rnd, "purify", (a, b), True, f_out))
+                add(event(TraceEvent, (rnd, "purify", (a, b), True, f_out)))
                 if f_out >= target_fidelity:
                     outcome = "reached"
                     break
             else:
-                events.append(TraceEvent(rnd, "purify", (a, b), False, None))
+                add(event(TraceEvent, (rnd, "purify", (a, b), False, None)))
             continue
 
         if raw >= max_raw_pairs:
@@ -396,7 +402,7 @@ def simulate_schedule(
             rnd += 1
         else:
             pairs[next_id] = (f0, 0, rnd)
-            events.append(TraceEvent(rnd, "generate", (next_id,), True, f0))
+            add(event(TraceEvent, (rnd, "generate", (next_id,), True, f0)))
             next_id += 1
             raw += 1
 

@@ -1,10 +1,12 @@
 import csv
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +506,31 @@ class TestRepeaterSimVerb:
         (trace,) = json.loads(out)
         assert trace["policy"] == "banded"
         assert isinstance(trace["events"], list)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_csv_trials_do_not_hold_their_traces(self, capsys, monkeypatch, tmp_path, trace):
+        # exhausted pumping runs: every trial's trace is as long as the round cap
+        # allows; the cap keeps the cost of tracing each allocation small
+        from qchan import repeater
+
+        monkeypatch.setattr(
+            repeater, "simulate_schedule", functools.partial(repeater.simulate_schedule, max_rounds=600)
+        )
+        argv = ["repeater-sim", "--policy", "pumping", "--f0", "0.638", "--target", "0.9999", "--p0", "0.5"]
+        if trace:
+            argv += ["--trace", str(tmp_path / "events.jsonl")]
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--trials", str(trials)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        one = peak(1)
+        assert peak(30) < 2 * one
 
     def test_target_below_base_fidelity_exits_two(self, capsys):
         code, _, err = run(

@@ -22,7 +22,7 @@ from qchan import (
     trace_events_jsonl,
     trace_to_json,
 )
-from qchan.repeater import CLOSED_FORM_P0, MAX_LEVELS
+from qchan.repeater import CLOSED_FORM_P0, MAX_LEVELS, TraceEvent
 from qchan.errors import (
     DegenerateLoss,
     DegeneratePair,
@@ -110,6 +110,27 @@ TRACE_DIGESTS = {
         ("87682f8d412a26c04e6f96fc755fb2c88b19b786cc1a53af7d41b3f90f1e0c9d", 46, "reached", 18),
     ("banded", 0.75, 2):
         ("617ad02041829642ad39fe29fd91d4f6deb146845de01f6a2fa418bd0c1c29cf", 65, "reached", 18),
+    # F0 <= 1/2, pinned before greedy's pick went O(1): a purified pair no longer
+    # beats a fresh one, so greedy lists the fresher pair first and its trace
+    # parts from pumping's, and at F0 = 1/2 every fidelity ties
+    ("greedy", 0.45, 0):
+        ("f027482d301e3b95f6eb09418441ce8055ffbd1f75ae3b3183a0fa8117e9ac9c", 3000, "exhausted", 1111),
+    ("greedy", 0.45, 1):
+        ("a0b3b8fb10329d36e17c9fc342f594476d899782e2180416f7813f5b26b1ce31", 3000, "exhausted", 1099),
+    ("greedy", 0.45, 2):
+        ("bd74e515c5425eb54635a3eaa35ec07b85e11af26d7606d4e7d2431916bb1779", 3000, "exhausted", 1115),
+    ("pumping", 0.45, 0):
+        ("3acd85e1f53ae7d0bdcbea67093fb59d83126ae0902393b0dd63845cc3711e70", 3000, "exhausted", 1111),
+    ("pumping", 0.45, 1):
+        ("7b2a03a7affc275a5da67c2d66a82d147db441d8b67851892604786eddcdafd2", 3000, "exhausted", 1099),
+    ("pumping", 0.45, 2):
+        ("e6add99330e39a41d261f6d0c9c4e40dc59aeaa5fa51384ad9a1987b4e5c42c7", 3000, "exhausted", 1115),
+    ("greedy", 0.5, 0):
+        ("01750f99b20feea3de88d833b27c4dd5907408b5101ac413190ed35ef1411370", 3000, "exhausted", 1118),
+    ("greedy", 0.5, 1):
+        ("8ed55e6c9fcba23f1f919617de9d2e85512ac22de2945fe776508721fd60a024", 3000, "exhausted", 1119),
+    ("greedy", 0.5, 2):
+        ("43573a5b7e92483af5f87c3e0b241a84bdcf79c68e1e9ee8401953bf8673c7cc", 3000, "exhausted", 1110),
 }
 # greedy at F0 = 0.638, seed 0, force_success
 FORCED_DIGEST = ("bfa46aaeeb2e0bc78afa8fffc7fb853721b9a1d47609df018e8df0e878706bdc", 33, "reached", 17)
@@ -545,6 +566,14 @@ class TestSimulate:
         assert first == (1, "generate", (0,), True, CFG.F0)
         rnd, action, inputs, success, output = first
         assert (rnd, action, first.inputs) == (first.round, first.action, inputs)
+        # every kind of event, of every policy, is a TraceEvent itself
+        cfg = RepeaterConfig(L=20000.0, segments=1, P0=0.05, eta=0.5, F0=0.638)
+        for policy in ("symmetric", "pumping", "greedy", "banded"):
+            trace = simulate_schedule(policy, 0.99, cfg, seed=5, max_rounds=2000, band_wait_cap=10)
+            kinds = {(ev.action, ev.success) for ev in trace.events}
+            assert {("generate", True), ("purify", True), ("purify", False)} <= kinds
+            assert (("discard", True) in kinds) == (policy == "banded")
+            assert all(type(ev) is TraceEvent for ev in trace.events)
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(InvalidParameter):
